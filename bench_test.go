@@ -145,26 +145,15 @@ func benchDupCorpus() []harvest.Expr {
 	}, 10)
 }
 
+// BenchmarkTable1_FullComparator runs Table 1 over the duplication-shaped
+// corpus with no persistent cache: each run groups the corpus by
+// canonical form and solves every key once (the cross-run win is larger;
+// see _WarmCache).
 func BenchmarkTable1_FullComparator(b *testing.B) {
 	corpus := benchDupCorpus()
 	c := &compare.Comparator{Analyzer: &llvmport.Analyzer{}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.Run(corpus)
-	}
-	b.ReportMetric(float64(len(corpus)), "exprs/op")
-}
-
-// BenchmarkTable1_FullComparator_Cached measures the duplication-aware
-// path over the same corpus with a fresh cache per iteration: the win is
-// pure within-run canonical deduplication (the cross-run win is larger;
-// see _WarmCache).
-func BenchmarkTable1_FullComparator_Cached(b *testing.B) {
-	corpus := benchDupCorpus()
-	c := &compare.Comparator{Analyzer: &llvmport.Analyzer{}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Cache = rescache.New()
 		_ = c.Run(corpus)
 	}
 	b.ReportMetric(float64(len(corpus)), "exprs/op")

@@ -76,7 +76,7 @@ func main() {
 		nwayMode   = flag.Bool("nway", false, "n-way differential mode: cross-check all analyzer variants per expression and escalate to the SAT oracle only on disagreement")
 		reduceMode = flag.Bool("reduce", false, "shrink every finding to a 1-minimal reproducer preserving its finding kind (delta debugging)")
 		httpAddr   = flag.String("http", "", "serve the debug server on this address (e.g. :8125): expvar metrics at /debug/vars, pprof profiles at /debug/pprof/)")
-		shards     = flag.Int("shards", rescache.DefaultShards, "lock stripes in the oracle result cache (rounded up to a power of two)")
+		shards     = flag.Int("shards", rescache.DefaultShards, "lock stripes in the -cache oracle result cache (rounded up to a power of two)")
 		factSvc    = flag.Bool("factsvc", false, "serve the fact-service query API (POST /v1/facts) on the -http server, sharing the campaign's cache and in-flight dedup")
 		serveOnly  = flag.Bool("serve", false, "serve fact queries only, skipping the campaign loop, until interrupted (implies -factsvc; requires -http)")
 		traceFile  = flag.String("trace", "", "write a Chrome trace-event JSON span trace to this file (open in Perfetto, aggregate with trace-report)")
@@ -186,11 +186,6 @@ func main() {
 		if *httpAddr == "" {
 			fmt.Fprintln(os.Stderr, "dfcheck-fuzz: -factsvc requires -http (the query API mounts on the debug server)")
 			os.Exit(2)
-		}
-		if c.Cache == nil {
-			// Serving without -cache still wants memoization; it just
-			// isn't persisted.
-			c.Cache = rescache.NewSharded(*shards)
 		}
 		svc, err := c.NewFactService(factsvc.Config{
 			Workers:     *workers,

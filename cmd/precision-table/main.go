@@ -44,7 +44,7 @@ func main() {
 		loadFile  = flag.String("corpus", "", "load the corpus from this file instead of generating (see -save-corpus)")
 		saveFile  = flag.String("save-corpus", "", "write the corpus to this file before running (the artifact's dump.rdb analog)")
 		asJSON    = flag.Bool("json", false, "emit the report as JSON instead of the table")
-		cacheFile = flag.String("cache", "", "persist oracle results to this file across runs (the artifact's Redis dump analog); also dedups the corpus by canonical form")
+		cacheFile = flag.String("cache", "", "persist oracle results to this file across runs (the artifact's Redis dump analog)")
 		workers   = flag.Int("j", runtime.NumCPU(), "expressions compared concurrently")
 		exprCap   = flag.Duration("expr-timeout", 5*time.Minute, "total oracle time per expression (the paper's 5-minute cap; 0 disables)")
 		noStrash  = flag.Bool("no-strash", false, "ablation: disable structural hashing in the bit-blaster")
@@ -60,7 +60,7 @@ func main() {
 		reduceF   = flag.Bool("reduce", false, "shrink every finding to a 1-minimal reproducer preserving its finding kind (delta debugging)")
 		traceFile = flag.String("trace", "", "write a Chrome trace-event JSON span trace to this file (open in Perfetto, aggregate with trace-report)")
 		traceMax  = flag.Int64("trace-max-mb", 256, "rotate the trace file when it exceeds this many MiB (0 = unbounded)")
-		shards    = flag.Int("shards", rescache.DefaultShards, "lock stripes in the oracle result cache (rounded up to a power of two)")
+		shards    = flag.Int("shards", rescache.DefaultShards, "lock stripes in the -cache oracle result cache (rounded up to a power of two)")
 		httpAddr  = flag.String("http", "", "serve the debug server on this address (expvar at /debug/vars, pprof at /debug/pprof/)")
 		factSvc   = flag.Bool("factsvc", false, "after printing the table, serve the fact-service query API (POST /v1/facts) on the -http server until interrupted")
 	)
@@ -137,6 +137,8 @@ func main() {
 		os.Exit(2)
 	}
 
+	health := ops.NewHealth()
+	slowLog := metrics.NewSlowLog(metrics.DefaultSlowLogSize)
 	c := &compare.Comparator{
 		Analyzer: &llvmport.Analyzer{
 			Bugs:   llvmport.BugConfig{NonZeroAdd: *bug1, SRemSignBits: *bug2, SRemKnownBits: *bug3},
@@ -159,31 +161,40 @@ func main() {
 	if *noPortf {
 		c.Portfolio = -1
 	}
-	if *cacheFile != "" || *factSvc {
-		// -factsvc without -cache still wants memoization for repeated
-		// queries; it just isn't persisted.
+	if *cacheFile != "" {
 		cache := rescache.NewSharded(*shards)
-		if *cacheFile != "" {
-			switch err := cache.LoadFile(*cacheFile); {
-			case err == nil:
-			case os.IsNotExist(err):
-				// First run: cold start is the expected path, stay quiet.
-			default:
-				// A corrupt or mismatched cache file means a cold start, not a
-				// failed run — but say so, since the warm-up work is lost.
-				fmt.Fprintf(os.Stderr, "precision-table: WARNING: cache %s unusable, starting cold: %v\n", *cacheFile, err)
-			}
+		switch err := cache.LoadFile(*cacheFile); {
+		case err == nil:
+		case os.IsNotExist(err):
+			// First run: cold start is the expected path, stay quiet.
+		default:
+			// A corrupt or mismatched cache file means a cold start, not a
+			// failed run — but say so, since the warm-up work is lost.
+			fmt.Fprintf(os.Stderr, "precision-table: WARNING: cache %s unusable, starting cold: %v\n", *cacheFile, err)
 		}
 		c.Cache = cache
 	}
-	health := ops.NewHealth()
-	slowLog := metrics.NewSlowLog(metrics.DefaultSlowLogSize)
+	if *factSvc && *httpAddr == "" {
+		fmt.Fprintln(os.Stderr, "precision-table: -factsvc requires -http (the query API mounts on the debug server)")
+		os.Exit(1)
+	}
+	var svc *factsvc.Service
 	if *httpAddr != "" {
 		reg := metrics.NewRegistry()
 		if err := reg.PublishExpvar("dfcheck"); err != nil {
 			fmt.Fprintln(os.Stderr, "precision-table: WARNING: /debug/vars:", err)
 		}
 		c.Metrics = reg
+		if *factSvc {
+			// Built before the run so the table warms the cache the
+			// service answers from (the comparator gets an in-memory one
+			// if -cache is unset).
+			svc, err = c.NewFactService(factsvc.Config{Workers: *workers, SlowLog: slowLog})
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "precision-table:", err)
+				os.Exit(1)
+			}
+		}
 		if c.Cache != nil {
 			ops.CollectCache(reg, c.Cache)
 		}
@@ -223,17 +234,8 @@ func main() {
 		fmt.Print(rep.Table())
 	}
 
-	if *factSvc {
+	if svc != nil {
 		// Serve fact queries against the now-warm cache until interrupted.
-		if *httpAddr == "" {
-			fmt.Fprintln(os.Stderr, "precision-table: -factsvc requires -http (the query API mounts on the debug server)")
-			os.Exit(1)
-		}
-		svc, err := c.NewFactService(factsvc.Config{Workers: *workers, SlowLog: slowLog})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "precision-table:", err)
-			os.Exit(1)
-		}
 		http.Handle("/v1/facts", svc.Handler())
 		fmt.Fprintf(os.Stderr, "fact service: POST http://%s/v1/facts (interrupt to stop)\n", *httpAddr)
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

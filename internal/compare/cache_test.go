@@ -1,14 +1,18 @@
 package compare
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"dfcheck/internal/canon"
 	"dfcheck/internal/harvest"
 	"dfcheck/internal/ir"
 	"dfcheck/internal/llvmport"
+	"dfcheck/internal/metrics"
 	"dfcheck/internal/rescache"
 )
 
@@ -24,7 +28,25 @@ func dupCorpus() []harvest.Expr {
 	}, 4)
 }
 
-// stripElapsed zeroes the timing fields the cached path replays, leaving
+// referenceReport folds the single-expression pipeline (what CompareExpr
+// runs) over every corpus entry: each entry is compared on its own form,
+// with no canonical grouping and no cache — the report Run must
+// reproduce.
+func referenceReport(c *Comparator, corpus []harvest.Expr) *Report {
+	rep := newReport()
+	if c.NWay {
+		rep.NWay = &NWayStats{}
+	}
+	for _, e := range corpus {
+		results, checks, nw := c.compareOne(context.Background(), e.F)
+		rep.ConsistencyChecks += checks
+		rep.NWay.add(nw)
+		rep.absorb(e, results)
+	}
+	return rep
+}
+
+// stripElapsed zeroes the timing fields a grouped run replays, leaving
 // only the semantic content for comparison.
 func stripElapsed(rep *Report) *Report {
 	out := &Report{Rows: make(map[harvest.Analysis]*Row), Findings: rep.Findings}
@@ -65,35 +87,78 @@ func dumpRows(rep *Report) map[harvest.Analysis]Row {
 	return out
 }
 
-// TestCachedRunMatchesUncached: the duplication-aware cached path must
-// produce the same Table 1 rows and the same findings as the plain path,
+// TestCachedRunMatchesUncached: Run groups the corpus by canonical form
+// whether or not it has a persistent cache, and must produce the same
+// Table 1 rows and the same findings as comparing every entry on its own,
 // sequentially and with a worker pool.
 func TestCachedRunMatchesUncached(t *testing.T) {
 	corpus := dupCorpus()
-	want := cleanComparator().Run(corpus)
-	for _, workers := range []int{0, 8} {
-		c := cleanComparator()
-		c.Workers = workers
-		c.Cache = rescache.New()
-		got := c.Run(corpus)
-		requireSameReport(t, want, got, "cached run")
+	want := referenceReport(cleanComparator(), corpus)
+	for _, cached := range []bool{false, true} {
+		for _, workers := range []int{0, 8} {
+			c := cleanComparator()
+			c.Workers = workers
+			if cached {
+				c.Cache = rescache.New()
+			}
+			got := c.Run(corpus)
+			requireSameReport(t, want, got, fmt.Sprintf("cached=%t workers=%d", cached, workers))
 
-		if got.Cache == nil {
-			t.Fatal("cached run did not report cache stats")
-		}
-		if got.Cache.TotalExprs != len(corpus) {
-			t.Errorf("TotalExprs = %d, want %d", got.Cache.TotalExprs, len(corpus))
-		}
-		if got.Cache.UniqueExprs >= len(corpus) {
-			t.Errorf("no deduplication: %d unique of %d — the corpus is duplication-shaped",
-				got.Cache.UniqueExprs, len(corpus))
+			if got.Cache.TotalExprs != len(corpus) {
+				t.Errorf("TotalExprs = %d, want %d", got.Cache.TotalExprs, len(corpus))
+			}
+			if got.Cache.UniqueExprs >= len(corpus) {
+				t.Errorf("no deduplication: %d unique of %d — the corpus is duplication-shaped",
+					got.Cache.UniqueExprs, len(corpus))
+			}
 		}
 	}
 }
 
-// TestCachedRunFindingsPerEntry: findings from a cached run must carry
+// TestDefaultRunSolvesEachCanonicalKeyOnce: a Run without a cache solves
+// each canonical key of a duplication-shaped corpus once, sequentially
+// and on a worker pool — one compared expression per key, and exactly the
+// solver work of a run over one representative per key.
+func TestDefaultRunSolvesEachCanonicalKeyOnce(t *testing.T) {
+	corpus := dupCorpus()
+	seen := map[string]bool{}
+	var unique []harvest.Expr
+	for _, e := range corpus {
+		if k := canon.Canonicalize(e.F).Key; !seen[k] {
+			seen[k] = true
+			unique = append(unique, e)
+		}
+	}
+	if len(unique) == len(corpus) {
+		t.Fatal("corpus has no duplicates; test premise broken")
+	}
+	run := func(workers int, corpus []harvest.Expr) (*Report, metrics.Snapshot) {
+		reg := metrics.NewRegistry()
+		// Single-search SAT keeps the query counts deterministic.
+		c := &Comparator{Analyzer: &llvmport.Analyzer{}, Workers: workers, Portfolio: -1, Metrics: reg}
+		return c.Run(corpus), reg.Snapshot()
+	}
+	_, uniqueSnap := run(0, unique)
+	for _, workers := range []int{0, 8} {
+		rep, snap := run(workers, corpus)
+		if got := snap.Counters["exprs_compared"]; got != int64(len(unique)) {
+			t.Errorf("workers=%d: exprs_compared = %d, want one per canonical key (%d)", workers, got, len(unique))
+		}
+		if got, want := snap.Counters["solver_queries"], uniqueSnap.Counters["solver_queries"]; got != want {
+			t.Errorf("workers=%d: solver_queries = %d, want %d (the unique set's cost)", workers, got, want)
+		}
+		if got := rep.Rows[harvest.KnownBits].Total(); got != len(corpus) {
+			t.Errorf("workers=%d: known-bits row counts %d entries, want %d", workers, got, len(corpus))
+		}
+		if rep.Cache == nil || rep.Cache.UniqueExprs != len(unique) {
+			t.Errorf("workers=%d: report cache stats %+v, want UniqueExprs %d", workers, rep.Cache, len(unique))
+		}
+	}
+}
+
+// TestCachedRunFindingsPerEntry: findings from a grouped run must carry
 // each duplicate's own name and source text, not the canonical
-// representative's — the cached path dedups work, not reports.
+// representative's — grouping dedups work, not reports.
 func TestCachedRunFindingsPerEntry(t *testing.T) {
 	trigger := ir.MustParse(harvest.SoundnessTriggers[1].Source) // PR23011 srem sign bits
 	rng := rand.New(rand.NewSource(5))
@@ -124,9 +189,10 @@ func TestCachedRunFindingsPerEntry(t *testing.T) {
 			t.Errorf("finding %d: source is not the entry's own text:\nwant %q\ngot  %q", i, e.F.String(), src)
 		}
 	}
-	// Uncached runs must find the same bugs on the same entries.
+	// Comparing each entry on its own must find the same bugs on the
+	// same entries.
 	c2 := &Comparator{Analyzer: &llvmport.Analyzer{Bugs: llvmport.BugConfig{SRemSignBits: true}}}
-	requireSameReport(t, c2.Run(corpus), rep, "bug-injected cached run")
+	requireSameReport(t, referenceReport(c2, corpus), rep, "bug-injected cached run")
 }
 
 // TestWarmCacheSecondRun: a second run over the same corpus must be all

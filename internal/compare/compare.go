@@ -107,12 +107,12 @@ type Comparator struct {
 	// beyond it come back as resource exhaustion, like the paper's
 	// five-minute cap (§4.1). Zero means no cap.
 	ExprTimeout time.Duration
-	// Cache, when set, switches Run to the duplication-aware path: the
-	// corpus is grouped by canonical form (internal/canon), each unique
-	// expression is analyzed once, and oracle results are memoized in
-	// the cache — within the run and, if the cache is persisted, across
-	// runs. This exploits the §3.1 duplication statistics the way the
-	// original artifact's Redis store did.
+	// Cache, when set, memoizes oracle results across Runs — and, if the
+	// cache is persisted, across processes — the way the original
+	// artifact's Redis store did. Every Run groups its corpus by canonical
+	// form (internal/canon) and solves each unique expression once,
+	// exploiting the §3.1 duplication statistics; without Cache the
+	// results live in an in-memory cache that lasts only for that Run.
 	Cache *rescache.Cache
 	// Metrics, when set, is instrumented with solver query counters,
 	// per-expression latency histograms, worker utilization, cache
@@ -174,13 +174,13 @@ type Comparator struct {
 	// so it costs time proportional to finding count, not corpus size.
 	Reduce bool
 
-	// flight collapses identical in-flight oracle work across the
-	// worker pool (and across concurrent Runs sharing this Comparator,
-	// as the fact service and a campaign do): the cache answers queries
-	// that finished, the flight answers queries that are still running.
-	// Waiters count into the flight_collapsed metric and adopt the
-	// leader's result like a cache hit, so the report is unchanged —
-	// only the redundant solver work disappears.
+	// flight collapses identical in-flight oracle work, per (canonical
+	// key, analysis), across concurrent Runs sharing this Comparator and
+	// the fact service: the cache answers queries that finished, the
+	// flight answers queries that are still running. Waiters count into
+	// the flight_collapsed metric and adopt the leader's result like a
+	// cache hit, so the report is unchanged — only the redundant solver
+	// work disappears.
 	flight factsvc.Group
 	// flightHook, when set, runs at the start of every flight leader's
 	// computation. Tests use it to hold the leader until all expected
@@ -189,7 +189,7 @@ type Comparator struct {
 }
 
 // analysisOrder maps oracleSet.Elapsed indices to analysis names, in the
-// Table 1 order computeOracle runs them.
+// Table 1 order the oracle runs them.
 var analysisOrder = [8]harvest.Analysis{
 	harvest.KnownBits, harvest.SignBits, harvest.NonZero, harvest.Negative,
 	harvest.NonNegative, harvest.PowerOfTwo, harvest.IntegerRange, harvest.DemandedBits,
@@ -328,49 +328,7 @@ type oracleSet struct {
 	Solver   solver.Stats
 }
 
-// computeOracle computes the oracle set for f. With Workers > 1,
-// textually identical expressions that race within the pool collapse to
-// one computation through the single-flight group; waiters adopt the
-// leader's result set. The flight keys on the exact source text, not the
-// canonical form: demanded-bits results are named in the expression's
-// own variables, so only byte-identical duplicates can share a set
-// (alpha-variants are the cached path's job).
-func (c *Comparator) computeOracle(ctx context.Context, f *ir.Function) *oracleSet {
-	if c.Workers <= 1 {
-		return c.computeOracleOnce(ctx, f)
-	}
-	v, _, shared := c.flight.Do("expr\x00"+f.String(), func() (any, error) {
-		if c.flightHook != nil {
-			c.flightHook()
-		}
-		return c.computeOracleOnce(ctx, f), nil
-	})
-	o := v.(*oracleSet)
-	if shared {
-		c.recordFlightWaiter(o)
-	}
-	return o
-}
-
-// recordFlightWaiter accounts one expression answered by another
-// worker's in-flight computation: it counts as a compared expression
-// with the leader's replayed latency, but none of the solver work is
-// re-counted (it happened exactly once, on the leader).
-func (c *Comparator) recordFlightWaiter(o *oracleSet) {
-	if c.Metrics == nil {
-		return
-	}
-	c.Metrics.Counter("flight_collapsed").Inc()
-	c.Metrics.Counter("exprs_compared").Inc()
-	var total time.Duration
-	for _, d := range o.Elapsed {
-		total += d
-	}
-	c.Metrics.Histogram("expr_latency").Observe(total)
-}
-
-// countFlightCollapsed counts one per-analysis collapse on the cached
-// path.
+// countFlightCollapsed counts one per-analysis flight collapse.
 func (c *Comparator) countFlightCollapsed() {
 	if c.Metrics != nil {
 		c.Metrics.Counter("flight_collapsed").Inc()
@@ -459,14 +417,14 @@ func flightKey(k rescache.Key) string {
 }
 
 // oracleCached assembles the oracle set for a canonical expression,
-// consulting the cache per analysis and computing (then storing) the
-// misses. Demanded-bits entries are stored in the canonical variable
-// namespace, so they apply to every alpha-variant of the expression.
+// consulting cache per analysis and computing (then storing) the misses.
+// Demanded-bits entries are stored in the canonical variable namespace,
+// so they apply to every alpha-variant of the expression.
 //
 // Results computed while ctx is (or becomes) cancelled are never written
 // back: a cancellation-degraded result in a persisted cache would make a
 // resumed campaign silently diverge from an uninterrupted one.
-func (c *Comparator) oracleCached(ctx context.Context, cn *canon.Canon) *oracleSet {
+func (c *Comparator) oracleCached(ctx context.Context, cn *canon.Canon, cache *rescache.Cache) *oracleSet {
 	f := cn.F
 	var deadline time.Time
 	if c.ExprTimeout > 0 {
@@ -495,7 +453,7 @@ func (c *Comparator) oracleCached(ctx context.Context, cn *canon.Canon) *oracleS
 	}
 	step := func(i int, a harvest.Analysis, fromCache func(any) bool, compute func(e solver.Engine) any) {
 		k := rescache.Key{Expr: cn.Key, Analysis: string(a), Budget: c.Budget, Config: cfg}
-		if e, ok := c.Cache.Get(k); ok && fromCache(e.Value) {
+		if e, ok := cache.Get(k); ok && fromCache(e.Value) {
 			o.Elapsed[i] = e.Elapsed
 			return
 		}
@@ -514,7 +472,7 @@ func (c *Comparator) oracleCached(ctx context.Context, cn *canon.Canon) *oracleS
 				// Possibly degraded by cancellation: do not memoize.
 				return flightVal{v: v, elapsed: elapsed}, nil
 			}
-			c.Cache.Put(k, rescache.Entry{Value: v, Elapsed: elapsed})
+			cache.Put(k, rescache.Entry{Value: v, Elapsed: elapsed})
 			return flightVal{v: v, elapsed: elapsed}, nil
 		}
 		if c.Workers <= 1 {
@@ -582,8 +540,10 @@ func (c *Comparator) oracleCached(ctx context.Context, cn *canon.Canon) *oracleS
 
 // classify turns the oracle facts and the LLVM-port facts for f into the
 // Table 1 result list: one entry per forward analysis plus one entry per
-// input variable for demanded bits.
-func (c *Comparator) classify(f *ir.Function, fa *llvmport.Facts, o *oracleSet) []Result {
+// input variable for demanded bits. demName maps each of f's variables to
+// its name in o's demanded-bits results (the canonical name when o was
+// solved on f's canonical form).
+func (c *Comparator) classify(f *ir.Function, fa *llvmport.Facts, o *oracleSet, demName func(string) string) []Result {
 	out := make([]Result, 0, 7+len(f.Vars))
 	add := func(i int, r Result) {
 		r.Elapsed = o.Elapsed[i]
@@ -596,7 +556,7 @@ func (c *Comparator) classify(f *ir.Function, fa *llvmport.Facts, o *oracleSet) 
 	add(4, compareBool(harvest.NonNegative, o.NonNeg, fa.NonNegative()))
 	add(5, compareBool(harvest.PowerOfTwo, o.Pow2, fa.PowerOfTwo()))
 	add(6, compareRange(o.Range, fa))
-	dm := compareDemanded(o.Demanded, fa, f)
+	dm := compareDemanded(o.Demanded, fa, f, demName)
 	if len(dm) > 0 {
 		dm[0].Elapsed = o.Elapsed[7]
 	}
@@ -630,8 +590,12 @@ type nwayExprStats struct {
 // nwayCheck cross-checks all analyzer variants on f, returning the
 // pre-filter stats and the contradiction results (gated, like the
 // consistency lint, on the expression having a well-defined input: on
-// dead code arbitrary fact sets are vacuously sound).
+// dead code arbitrary fact sets are vacuously sound). Without NWay it
+// returns nil stats: nothing is pre-filtered.
 func (c *Comparator) nwayCheck(ctx context.Context, f *ir.Function) (*nwayExprStats, []Result) {
+	if !c.NWay {
+		return nil, nil
+	}
 	sp := trace.FromContext(ctx).Child(trace.KindAnalysis, "nway")
 	cmp := nway.Compare(f, nway.Variants(c.Analyzer))
 	st := &nwayExprStats{
@@ -674,39 +638,46 @@ func (c *Comparator) nwayCheck(ctx context.Context, f *ir.Function) (*nwayExprSt
 	return st, out
 }
 
-// compareOne runs the per-expression pipeline: the n-way pre-filter when
-// enabled (skipping the oracle on agreement), the oracle comparison, and
-// the cross-domain consistency lint. It additionally returns the number
-// of consistency checks performed and the n-way stats (nil unless NWay).
+// compareOne runs the per-expression pipeline on f's own form: the n-way
+// pre-filter when enabled (skipping the oracle on agreement), the oracle
+// comparison, and the cross-domain consistency lint. It additionally
+// returns the number of consistency checks performed and the n-way stats
+// (nil unless NWay).
 func (c *Comparator) compareOne(ctx context.Context, f *ir.Function) ([]Result, int, *nwayExprStats) {
-	var results []Result
-	var nw *nwayExprStats
-	runOracle := true
-	if c.NWay {
-		var nwResults []Result
-		nw, nwResults = c.nwayCheck(ctx, f)
-		results = nwResults
-		// Escalate to the oracle only when some variant pair disagreed;
-		// agreement (or a dead expression) leaves nothing to decide.
-		runOracle = nw.escalated
+	nw, nwResults := c.nwayCheck(ctx, f)
+	var o *oracleSet
+	if nw == nil || nw.escalated {
+		o = c.computeOracleOnce(ctx, f)
 	}
+	results, checks := c.judge(ctx, f, o, ownName, nwResults)
+	return results, checks, nw
+}
+
+// ownName is the demanded-bits name map of an oracle set solved on the
+// expression itself.
+func ownName(v string) string { return v }
+
+// judge classifies f against the oracle set o (nil when the n-way
+// pre-filter skipped the oracle), appends the pre-filter's findings, and
+// runs the consistency lint. demName maps f's variables into o's
+// demanded-bits namespace. The LLVM-port facts are always f's own, never
+// a canonical representative's, so an analysis sensitive to operand order
+// or variable names cannot shift a cell when o is shared by a group.
+func (c *Comparator) judge(ctx context.Context, f *ir.Function, o *oracleSet, demName func(string) string, nwResults []Result) ([]Result, int) {
 	var fa *llvmport.Facts
-	if runOracle || c.Consistency {
+	if o != nil || c.Consistency {
 		fa = c.Analyzer.Analyze(f)
 	}
-	if runOracle {
-		results = append(c.classify(f, fa, c.computeOracle(ctx, f)), results...)
+	var results []Result
+	if o != nil {
+		results = c.classify(f, fa, o, demName)
 	}
+	results = append(results, nwResults...)
 	if !c.Consistency {
-		return results, 0, nw
+		return results, 0
 	}
-	sp := trace.FromContext(ctx).Child(trace.KindAnalysis, "consistency")
-	lint, checks := c.lintExpr(f, fa)
-	if sp != nil {
-		sp.SetInt("checks", int64(checks))
-		sp.End()
-	}
-	return append(results, lint...), checks, nw
+	lint, checks := c.lintExpr(ctx, f, fa)
+	return append(results, lint...), checks
 }
 
 // lintExpr cross-checks the compiler's own domain facts for one analyzed
@@ -716,8 +687,13 @@ func (c *Comparator) compareOne(ctx context.Context, f *ir.Function) ([]Result, 
 // whose every evaluation is poison/UB, arbitrary fact sets are vacuously
 // sound — so findings on dead expressions are suppressed. The
 // definedness probe runs only when a contradiction was found.
-func (c *Comparator) lintExpr(f *ir.Function, fa *llvmport.Facts) ([]Result, int) {
+func (c *Comparator) lintExpr(ctx context.Context, f *ir.Function, fa *llvmport.Facts) ([]Result, int) {
+	sp := trace.FromContext(ctx).Child(trace.KindAnalysis, "consistency")
 	incons, checks := absint.CheckFactsDomains(f, fa, absint.ExtraFactsFor(f, c.Domains))
+	if sp != nil {
+		sp.SetInt("checks", int64(checks))
+		sp.End()
+	}
 	if c.Metrics != nil {
 		c.Metrics.Counter("consistency_checks").Add(int64(checks))
 	}
@@ -860,11 +836,11 @@ func compareRange(o oracle.RangeResult, fa *llvmport.Facts) Result {
 	return r
 }
 
-func compareDemanded(o oracle.DemandedBitsResult, fa *llvmport.Facts, f *ir.Function) []Result {
+func compareDemanded(o oracle.DemandedBitsResult, fa *llvmport.Facts, f *ir.Function, demName func(string) string) []Result {
 	llvm := fa.DemandedBits()
 	out := make([]Result, 0, len(f.Vars))
 	for _, v := range f.Vars {
-		om := o.Demanded[v.Name]
+		om := o.Demanded[demName(v.Name)]
 		lm := llvm[v.Name]
 		r := Result{
 			Analysis:   harvest.DemandedBits,
@@ -953,9 +929,8 @@ type Row struct {
 // Total returns the number of comparisons in the row.
 func (r Row) Total() int { return r.Same + r.OracleMP + r.LLVMMP + r.Exhausted }
 
-// CacheStats reports how the duplication-aware cached path performed for
-// one Run: cache traffic, and how far canonical grouping shrank the
-// corpus before any oracle work was dispatched.
+// CacheStats reports one Run's cache traffic, and how far canonical
+// grouping shrank the corpus before any oracle work was dispatched.
 type CacheStats struct {
 	// Hits and Misses count oracle result lookups during this run.
 	Hits, Misses uint64
@@ -1016,7 +991,8 @@ type Report struct {
 	// NWay summarizes the n-way pre-filter (nil unless Comparator.NWay).
 	// In n-way mode the Table 1 rows cover escalated expressions only.
 	NWay *NWayStats
-	// Cache is set by cached runs (Comparator.Cache != nil).
+	// Cache reports the run's cache traffic and canonical grouping, for
+	// the comparator's cache or the run's own in-memory one.
 	Cache *CacheStats
 	// Interrupted is true when the run's context was cancelled before
 	// every corpus entry was compared; Skipped counts the entries that
@@ -1034,8 +1010,7 @@ func newReport() *Report {
 	return rep
 }
 
-// absorb aggregates one expression's results into the report. Cached and
-// uncached runs share this, so their Table 1 counts agree by construction.
+// absorb aggregates one expression's results into the report.
 func (rep *Report) absorb(e harvest.Expr, results []Result) {
 	seen := map[harvest.Analysis]bool{}
 	for _, r := range results {
@@ -1071,11 +1046,12 @@ func (rep *Report) absorb(e harvest.Expr, results []Result) {
 }
 
 // Run compares every expression in the corpus and aggregates Table 1.
-// With Workers > 1, expressions are compared concurrently; aggregation
-// order (and thus the report) stays deterministic. With Cache set, the
-// corpus is first grouped by canonical form and each unique expression
-// is analyzed once (see runCached); the aggregated counts and findings
-// are identical to the uncached path.
+// The corpus is grouped by canonical form and the oracle runs once per
+// group; every entry is then classified under its own name, source text,
+// and variable names, so the counts and findings are those of comparing
+// each entry on its own. With Workers > 1, groups are compared
+// concurrently; aggregation order (and thus the report) stays
+// deterministic.
 func (c *Comparator) Run(corpus []harvest.Expr) *Report {
 	return c.RunContext(context.Background(), corpus)
 }
@@ -1120,22 +1096,49 @@ func (c *Comparator) forEach(ctx context.Context, n int, job func(i int)) {
 }
 
 // RunContext is Run under a cancellation context: cancelling ctx stops
-// workers at the next expression boundary (and aborts their in-flight
-// solver queries), returning a partial report with Interrupted set
-// instead of tearing the process down mid-batch.
+// workers at the next group boundary (and aborts their in-flight solver
+// queries), returning a partial report with Interrupted set instead of
+// tearing the process down mid-batch. The members of unanalyzed groups
+// count as Skipped.
 func (c *Comparator) RunContext(ctx context.Context, corpus []harvest.Expr) *Report {
 	ctx, endRoot := c.rootSpan(ctx, "run")
 	defer endRoot()
-	if c.Cache != nil {
-		return c.runCached(ctx, corpus)
+	cache := c.runCache()
+	before := cache.Stats()
+
+	cns := make([]*canon.Canon, len(corpus))
+	groupOf := make(map[string]int, len(corpus))
+	var members [][]int // corpus indices per canonical group, first-appearance order
+	for i := range corpus {
+		cns[i] = canon.Canonicalize(corpus[i].F)
+		g, ok := groupOf[cns[i].Key]
+		if !ok {
+			g = len(members)
+			groupOf[cns[i].Key] = g
+			members = append(members, nil)
+		}
+		members[g] = append(members[g], i)
 	}
+
 	perExpr := make([][]Result, len(corpus))
 	perChecks := make([]int, len(corpus))
 	perNWay := make([]*nwayExprStats, len(corpus))
 	analyzed := make([]bool, len(corpus))
-	c.forEach(ctx, len(corpus), func(i int) {
-		perExpr[i], perChecks[i], perNWay[i] = c.compareOne(ctx, corpus[i].F)
-		analyzed[i] = true
+	c.forEach(ctx, len(members), func(g int) {
+		// The pre-filter and the oracle run once per group on the
+		// canonical form (both are invariant under canonicalization);
+		// the classification and the lint run per member.
+		cn := cns[members[g][0]]
+		nw, nwResults := c.nwayCheck(ctx, cn.F)
+		var o *oracleSet
+		if nw == nil || nw.escalated {
+			o = c.oracleCached(ctx, cn, cache)
+		}
+		for _, i := range members[g] {
+			perExpr[i], perChecks[i] = c.judge(ctx, corpus[i].F, o, cns[i].CanonName, nwResults)
+			perNWay[i] = nw
+			analyzed[i] = true
+		}
 	})
 
 	rep := newReport()
@@ -1155,8 +1158,27 @@ func (c *Comparator) RunContext(ctx context.Context, corpus []harvest.Expr) *Rep
 	if c.Reduce {
 		c.reduceFindings(ctx, rep, corpus)
 	}
+	after := cache.Stats()
+	rep.Cache = &CacheStats{
+		Hits:        after.Hits - before.Hits,
+		Misses:      after.Misses - before.Misses,
+		Entries:     cache.Len(),
+		TotalExprs:  len(corpus),
+		UniqueExprs: len(members),
+	}
 	c.recordReport(rep)
 	return rep
+}
+
+// runCache returns the cache oracle results are memoized in: the
+// comparator's, or a fresh in-memory one that lives as long as the caller
+// holds it (one Run), so an uncached campaign's memory stays bounded by
+// one batch.
+func (c *Comparator) runCache() *rescache.Cache {
+	if c.Cache != nil {
+		return c.Cache
+	}
+	return rescache.New()
 }
 
 // reduceFindings shrinks every finding in rep to a 1-minimal expression
@@ -1279,128 +1301,7 @@ func (c *Comparator) recordReport(rep *Report) {
 	if rep.Skipped > 0 {
 		c.Metrics.Counter("exprs_skipped").Add(int64(rep.Skipped))
 	}
-	if rep.Cache != nil {
-		c.Metrics.Counter("cache_hits").Add(int64(rep.Cache.Hits))
-		c.Metrics.Counter("cache_misses").Add(int64(rep.Cache.Misses))
-		c.Metrics.Gauge("cache_entries").Set(int64(rep.Cache.Entries))
-	}
-}
-
-// groupResult is one canonical group's classification: the seven scalar
-// results shared verbatim by every member, and the demanded-bits results
-// in the canonical variable namespace, remapped per member at fold-back.
-type groupResult struct {
-	scalar   []Result
-	demanded map[string]Result // canonical var name -> result (Elapsed zeroed)
-	demTime  time.Duration     // attributed to each member's first variable
-	nway     *nwayExprStats    // pre-filter outcome, folded back per member
-}
-
-// runCached is the duplication-aware path: group by canonical key,
-// analyze each unique expression once (memoizing oracle results in the
-// cache), then fold results back onto every corpus entry with its own
-// name, source text, and variable names. Cancelling ctx skips the
-// unanalyzed groups; their member entries count as Skipped.
-func (c *Comparator) runCached(ctx context.Context, corpus []harvest.Expr) *Report {
-	before := c.Cache.Stats()
-
-	cns := make([]*canon.Canon, len(corpus))
-	for i := range corpus {
-		cns[i] = canon.Canonicalize(corpus[i].F)
-	}
-	groupOf := make(map[string]int, len(corpus))
-	gidx := make([]int, len(corpus))
-	var reps []int // representative corpus index per group, first-appearance order
-	for i := range corpus {
-		if g, ok := groupOf[cns[i].Key]; ok {
-			gidx[i] = g
-			continue
-		}
-		g := len(reps)
-		groupOf[cns[i].Key] = g
-		reps = append(reps, i)
-		gidx[i] = g
-	}
-
-	groups := make([]*groupResult, len(reps))
-	c.forEach(ctx, len(reps), func(g int) {
-		cn := cns[reps[g]]
-		gr := &groupResult{demanded: make(map[string]Result, len(cn.F.Vars))}
-		var nwResults []Result
-		runOracle := true
-		if c.NWay {
-			// The pre-filter runs once per canonical group (facts are
-			// invariant under canonicalization, like the scalar results);
-			// its stats fold back per member for parity with the uncached
-			// path.
-			gr.nway, nwResults = c.nwayCheck(ctx, cn.F)
-			runOracle = gr.nway.escalated
-		}
-		if runOracle {
-			fa := c.Analyzer.Analyze(cn.F)
-			o := c.oracleCached(ctx, cn)
-			gr.demTime = o.Elapsed[7]
-			for _, r := range c.classify(cn.F, fa, o) {
-				if r.Analysis == harvest.DemandedBits {
-					r.Elapsed = 0
-					gr.demanded[r.Var] = r
-				} else {
-					gr.scalar = append(gr.scalar, r)
-				}
-			}
-		}
-		gr.scalar = append(gr.scalar, nwResults...)
-		groups[g] = gr
-	})
-
-	rep := newReport()
-	if c.NWay {
-		rep.NWay = &NWayStats{}
-	}
-	for i, e := range corpus {
-		gr := groups[gidx[i]]
-		if gr == nil {
-			rep.Skipped++
-			continue
-		}
-		rep.NWay.add(gr.nway)
-		results := make([]Result, 0, len(gr.scalar)+len(e.F.Vars))
-		results = append(results, gr.scalar...)
-		for vi, v := range e.F.Vars {
-			r, ok := gr.demanded[cns[i].CanonName(v.Name)]
-			if !ok {
-				continue
-			}
-			r.Var = v.Name
-			if vi == 0 {
-				r.Elapsed = gr.demTime
-			}
-			results = append(results, r)
-		}
-		if c.Consistency {
-			// The lint is solver-free and names instructions, so it runs
-			// per member (not per canonical group): a cheap re-analysis
-			// buys findings in the member's own variable namespace and
-			// counts identical to the uncached path.
-			lint, checks := c.lintExpr(e.F, c.Analyzer.Analyze(e.F))
-			results = append(results, lint...)
-			rep.ConsistencyChecks += checks
-		}
-		rep.absorb(e, results)
-	}
-	rep.Interrupted = rep.Skipped > 0
-	if c.Reduce {
-		c.reduceFindings(ctx, rep, corpus)
-	}
-
-	after := c.Cache.Stats()
-	rep.Cache = &CacheStats{
-		Hits:        after.Hits - before.Hits,
-		Misses:      after.Misses - before.Misses,
-		Entries:     c.Cache.Len(),
-		TotalExprs:  len(corpus),
-		UniqueExprs: len(reps),
-	}
-	c.recordReport(rep)
-	return rep
+	c.Metrics.Counter("cache_hits").Add(int64(rep.Cache.Hits))
+	c.Metrics.Counter("cache_misses").Add(int64(rep.Cache.Misses))
+	c.Metrics.Gauge("cache_entries").Set(int64(rep.Cache.Entries))
 }

@@ -2,6 +2,7 @@ package compare
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -154,41 +155,40 @@ func TestConsistencyOffByDefault(t *testing.T) {
 	}
 }
 
-// TestConsistencyCachedParity: a cached run must report the same
-// consistency findings and check counts as an uncached one, including on
-// the cache-hit (fold-back) path — the corpus repeats the trigger under
-// two names to force a hit.
+// TestConsistencyCachedParity: a run with or without a persistent cache
+// must report the same consistency findings and check counts as
+// comparing each entry on its own, including for a second member of a
+// canonical group — the corpus repeats the trigger under two names.
 func TestConsistencyCachedParity(t *testing.T) {
 	corpus := append(zeroAddCorpus(), harvest.Expr{
 		Name: "zero-add-again", F: ir.MustParse("%0:i8 = add 0:i8, 0:i8\ninfer %0"), Freq: 1,
 	})
-	mk := func(cached bool) *Report {
-		c := &Comparator{
+	mk := func() *Comparator {
+		return &Comparator{
 			Analyzer:    &llvmport.Analyzer{Bugs: llvmport.BugConfig{NonZeroAdd: true}},
 			Consistency: true,
 		}
+	}
+	ref := referenceReport(mk(), corpus)
+	var names []string
+	for _, f := range ref.Findings {
+		if f.Kind == FindingInconsistent {
+			names = append(names, f.ExprName)
+		}
+	}
+	if len(names) != 2 {
+		t.Fatalf("reference inconsistent findings on %v, want both triggers", names)
+	}
+	for _, cached := range []bool{false, true} {
+		c := mk()
 		if cached {
 			c.Cache = rescache.New()
 		}
-		return c.Run(corpus)
-	}
-	plain, cached := mk(false), mk(true)
-	count := func(rep *Report) (n int, names []string) {
-		for _, f := range rep.Findings {
-			if f.Kind == FindingInconsistent {
-				n++
-				names = append(names, f.ExprName)
-			}
+		rep := c.Run(corpus)
+		if rep.ConsistencyChecks != ref.ConsistencyChecks {
+			t.Errorf("cached=%t: check counts diverge: run %d, reference %d", cached, rep.ConsistencyChecks, ref.ConsistencyChecks)
 		}
-		return
-	}
-	pn, pNames := count(plain)
-	cn, cNames := count(cached)
-	if pn != 2 || cn != 2 {
-		t.Fatalf("inconsistent finding counts: plain %d (%v), cached %d (%v)", pn, pNames, cn, cNames)
-	}
-	if plain.ConsistencyChecks != cached.ConsistencyChecks {
-		t.Errorf("check counts diverge: plain %d, cached %d", plain.ConsistencyChecks, cached.ConsistencyChecks)
+		requireSameReport(t, ref, rep, fmt.Sprintf("consistency cached=%t", cached))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"dfcheck/internal/factsvc"
 	"dfcheck/internal/harvest"
 	"dfcheck/internal/ir"
+	"dfcheck/internal/rescache"
 )
 
 // The fact-service glue: the service package defines the transport
@@ -17,21 +18,13 @@ import (
 
 // OracleFacts computes the eight Table 1 oracle facts for f, rendered
 // in the paper's print format, going through the comparator's result
-// cache and single-flight layers when configured. Demanded bits yields
-// one fact per input variable, in declaration order, labeled
-// "demanded bits (<var>)".
+// cache and single-flight layers on f's canonical form (a comparator
+// without a cache solves into a throwaway one). Demanded bits yields one
+// fact per input variable, in declaration order, labeled
+// "demanded bits (<var>)" with f's own variable names.
 func (c *Comparator) OracleFacts(ctx context.Context, f *ir.Function) []factsvc.Fact {
-	var o *oracleSet
-	demName := func(v string) string { return v }
-	if c.Cache != nil {
-		cn := canon.Canonicalize(f)
-		o = c.oracleCached(ctx, cn)
-		// Cached demanded-bits results live in the canonical variable
-		// namespace; map each of f's own variables through it.
-		demName = cn.CanonName
-	} else {
-		o = c.computeOracle(ctx, f)
-	}
+	cn := canon.Canonicalize(f)
+	o := c.oracleCached(ctx, cn, c.runCache())
 	facts := make([]factsvc.Fact, 0, 7+len(f.Vars))
 	add := func(a harvest.Analysis, fact string) {
 		facts = append(facts, factsvc.Fact{Analysis: string(a), Fact: fact})
@@ -44,7 +37,9 @@ func (c *Comparator) OracleFacts(ctx context.Context, f *ir.Function) []factsvc.
 	add(harvest.PowerOfTwo, fmt.Sprint(o.Pow2.Proved))
 	add(harvest.IntegerRange, o.Range.Range.String())
 	for _, v := range f.Vars {
-		mask, ok := o.Demanded.Demanded[demName(v.Name)]
+		// Cached demanded-bits results live in the canonical variable
+		// namespace; map each of f's own variables through it.
+		mask, ok := o.Demanded.Demanded[cn.CanonName(v.Name)]
 		if !ok {
 			continue
 		}
@@ -65,8 +60,13 @@ func (c *Comparator) SolveFunc() factsvc.SolveFunc {
 // comparator: the service's workers solve through OracleFacts, so every
 // query flows through the same sharded cache and single-flight group a
 // concurrently running campaign uses — queries and campaign batches
-// deduplicate against each other.
+// deduplicate against each other. A comparator without a cache gets an
+// in-memory one here, so the service memoizes what it answers and Runs
+// made after this call warm it.
 func (c *Comparator) NewFactService(cfg factsvc.Config) (*factsvc.Service, error) {
+	if c.Cache == nil {
+		c.Cache = rescache.New()
+	}
 	cfg.Solve = c.SolveFunc()
 	if cfg.Cache == nil {
 		cfg.Cache = c.Cache

@@ -2,7 +2,6 @@ package compare
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -20,63 +19,9 @@ import (
 // save.
 const flightExprSrc = "%x:i14 = var\n%y:i14 = var\n%0:i14 = mul %x, %y\n%1:i14 = xor %0, %y\ninfer %1"
 
-// The deterministic single-flight contract on the uncached parallel
-// path: 8 textually identical expressions racing on 8 workers cost
-// exactly one oracle computation. The flight hook holds the leader
-// until all 7 waiters have attached, so the collapse count — and
-// therefore the solver-query total — is exact, not a timing accident.
-func TestFlightCollapsesConcurrentDuplicates(t *testing.T) {
-	const n = 8
-	// Solo baseline: the same expression, once.
-	soloReg := metrics.NewRegistry()
-	solo := &Comparator{Analyzer: &llvmport.Analyzer{}, Workers: 1, Metrics: soloReg}
-	soloRep := solo.Run([]harvest.Expr{{Name: "solo", F: ir.MustParse(flightExprSrc), Freq: 1}})
-	soloQueries := soloReg.Snapshot().Counters["solver_queries"]
-	if soloQueries == 0 {
-		t.Fatal("baseline expression cost zero solver queries; pick a harder one")
-	}
-
-	reg := metrics.NewRegistry()
-	c := &Comparator{Analyzer: &llvmport.Analyzer{}, Workers: n, Metrics: reg}
-	c.flightHook = func() {
-		// Leader parks until every duplicate has attached (bounded so a
-		// scheduling pathology fails the test instead of hanging it).
-		deadline := time.Now().Add(30 * time.Second)
-		for c.flight.Collapsed() < n-1 && time.Now().Before(deadline) {
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	corpus := make([]harvest.Expr, n)
-	for i := range corpus {
-		// Distinct parses of identical text: the flight keys on the
-		// source, not the pointer.
-		corpus[i] = harvest.Expr{Name: fmt.Sprintf("dup-%d", i), F: ir.MustParse(flightExprSrc), Freq: 1}
-	}
-	rep := c.Run(corpus)
-
-	snap := reg.Snapshot()
-	if got := snap.Counters["solver_queries"]; got != soloQueries {
-		t.Errorf("solver_queries = %d for %d duplicates, want the solo cost %d (exactly one solve)", got, n, soloQueries)
-	}
-	if got := snap.Counters["flight_collapsed"]; got != n-1 {
-		t.Errorf("flight_collapsed = %d, want %d", got, n-1)
-	}
-	if got := snap.Counters["exprs_compared"]; got != n {
-		t.Errorf("exprs_compared = %d, want %d", got, n)
-	}
-	// Waiters adopt the leader's results, so the report is the solo
-	// report scaled by n.
-	for _, a := range harvest.AllAnalyses {
-		s, p := soloRep.Rows[a], rep.Rows[a]
-		if p.Same != n*s.Same || p.OracleMP != n*s.OracleMP || p.LLVMMP != n*s.LLVMMP || p.Exhausted != n*s.Exhausted {
-			t.Errorf("%s: collapsed rows %+v are not %d x solo rows %+v", a, *p, n, *s)
-		}
-	}
-}
-
-// Sequential duplicates must NOT collapse (the flight only spans the
-// in-flight window; memoization across time is the cache's job), and
-// Workers <= 1 must bypass the flight map entirely.
+// Duplicates in one sequential Run must NOT collapse in the flight:
+// canonical grouping solves them once before any flight is needed, and
+// Workers <= 1 bypasses the flight map entirely.
 func TestFlightSequentialRunsDoNotCollapse(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := &Comparator{Analyzer: &llvmport.Analyzer{}, Workers: 1, Metrics: reg}
@@ -87,7 +32,7 @@ func TestFlightSequentialRunsDoNotCollapse(t *testing.T) {
 	}
 }
 
-// The cached path's per-analysis flight: 8 goroutines querying the same
+// The per-(canonical key, analysis) flight: 8 goroutines querying the same
 // expression through OracleFacts (the fact service's solve path) share
 // one comparator with a cold sharded cache. Every (analysis) solve must
 // happen exactly once — answered by the cache for late arrivals or by
@@ -125,8 +70,8 @@ func TestCachedFlightDeduplicatesOracleFacts(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Each analysis was solved at most once: a solo uncached run of the
-	// same expression bounds the concurrent total. (Engine state differs
+	// Each analysis was solved at most once: a solo run of the same
+	// expression bounds the concurrent total. (Engine state differs
 	// slightly between a shared-engine solo run and per-leader engines,
 	// so allow headroom — the point is the 8x redundancy is gone.)
 	soloReg := metrics.NewRegistry()
@@ -147,15 +92,15 @@ func TestCachedFlightDeduplicatesOracleFacts(t *testing.T) {
 	}
 }
 
-// OracleFacts must render identically on every path: uncached, cache
-// miss, and cache hit — including the demanded-bits remap through the
-// canonical variable namespace that the cached path performs.
+// OracleFacts must render identically with no cache, on a cache miss, and
+// on a cache hit — including the demanded-bits remap through the
+// canonical variable namespace.
 func TestOracleFactsRenderingPathsAgree(t *testing.T) {
 	src := "%a:i8 = var\n%b:i8 = var\n%0:i8 = and 15:i8, %a\n%1:i8 = or %0, %b\ninfer %1"
 	ctx := context.Background()
 
-	uncached := &Comparator{Analyzer: &llvmport.Analyzer{}}
-	plain := uncached.OracleFacts(ctx, ir.MustParse(src))
+	noCache := &Comparator{Analyzer: &llvmport.Analyzer{}}
+	plain := noCache.OracleFacts(ctx, ir.MustParse(src))
 
 	cached := &Comparator{Analyzer: &llvmport.Analyzer{}, Cache: rescache.New()}
 	miss := cached.OracleFacts(ctx, ir.MustParse(src))
@@ -165,7 +110,7 @@ func TestOracleFactsRenderingPathsAgree(t *testing.T) {
 		t.Fatalf("%d facts, want 9 (7 scalar + 2 demanded)", len(plain))
 	}
 	if !reflect.DeepEqual(plain, miss) {
-		t.Errorf("uncached vs cache-miss facts differ:\n%v\nvs\n%v", plain, miss)
+		t.Errorf("no-cache vs cache-miss facts differ:\n%v\nvs\n%v", plain, miss)
 	}
 	if !reflect.DeepEqual(miss, hit) {
 		t.Errorf("cache-miss vs cache-hit facts differ:\n%v\nvs\n%v", miss, hit)

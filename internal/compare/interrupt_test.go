@@ -13,23 +13,20 @@ import (
 	"dfcheck/internal/rescache"
 )
 
-// slowSrc is the 20-bit factoring instance from the solver's deadline
-// tests: a single CanBeZero query on it takes the CDCL solver minutes,
-// so a corpus of these keeps workers busy until cancellation.
-const slowSrc = `%a:i20 = var
-%b:i20 = var
-%x:i40 = zext %a
-%y:i40 = zext %b
-%0:i40 = mul %x, %y
-%1:i40 = xor %0, 389311259137:i40
-infer %1`
-
-func slowCorpus(n int) []harvest.Expr {
-	corpus := make([]harvest.Expr, n)
-	for i := range corpus {
-		corpus[i] = harvest.Expr{Name: "slow", F: ir.MustParse(slowSrc), Freq: 1}
+// slowCorpus holds 20-, 19-, 18-, and 17-bit factoring instances from
+// the solver's deadline tests: a single CanBeZero query on one takes the
+// CDCL solver minutes, so these keep workers busy until cancellation.
+// Distinct widths defeat canonical grouping, so there are several slow
+// groups to interrupt; the 17-bit group, dispatched last, has two members.
+func slowCorpus() []harvest.Expr {
+	s4 := "%a:i17 = var\n%b:i17 = var\n%x:i34 = zext %a\n%y:i34 = zext %b\n%0:i34 = mul %x, %y\n%1:i34 = xor %0, 11220699701:i34\ninfer %1"
+	return []harvest.Expr{
+		{Name: "s1", F: ir.MustParse("%a:i20 = var\n%b:i20 = var\n%x:i40 = zext %a\n%y:i40 = zext %b\n%0:i40 = mul %x, %y\n%1:i40 = xor %0, 389311259137:i40\ninfer %1"), Freq: 1},
+		{Name: "s2", F: ir.MustParse("%a:i19 = var\n%b:i19 = var\n%x:i38 = zext %a\n%y:i38 = zext %b\n%0:i38 = mul %x, %y\n%1:i38 = xor %0, 109243065467:i38\ninfer %1"), Freq: 1},
+		{Name: "s3", F: ir.MustParse("%a:i18 = var\n%b:i18 = var\n%x:i36 = zext %a\n%y:i36 = zext %b\n%0:i36 = mul %x, %y\n%1:i36 = xor %0, 22712542403:i36\ninfer %1"), Freq: 1},
+		{Name: "s4", F: ir.MustParse(s4), Freq: 1},
+		{Name: "s4-again", F: ir.MustParse(s4), Freq: 1},
 	}
-	return corpus
 }
 
 func checkPartialReport(t *testing.T, rep *Report, corpusLen int, elapsed time.Duration) {
@@ -58,57 +55,33 @@ func checkPartialReport(t *testing.T, rep *Report, corpusLen int, elapsed time.D
 
 // TestRunContextCancelMidCorpus: cancelling mid-run must stop workers at
 // the next query-check interval and still yield a well-formed partial
-// report.
+// report, with or without a persistent cache; skipped groups count every
+// member.
 func TestRunContextCancelMidCorpus(t *testing.T) {
-	c := &Comparator{
-		Analyzer: &llvmport.Analyzer{},
-		Workers:  2,
-		Metrics:  metrics.NewRegistry(),
-	}
-	corpus := slowCorpus(8)
-	ctx, cancel := context.WithCancel(context.Background())
-	timer := time.AfterFunc(200*time.Millisecond, cancel)
-	defer timer.Stop()
-	defer cancel()
+	for _, cache := range []*rescache.Cache{nil, rescache.New()} {
+		c := &Comparator{
+			Analyzer: &llvmport.Analyzer{},
+			Workers:  2,
+			Cache:    cache,
+			Metrics:  metrics.NewRegistry(),
+		}
+		corpus := slowCorpus()
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(200*time.Millisecond, cancel)
 
-	start := time.Now()
-	rep := c.RunContext(ctx, corpus)
-	checkPartialReport(t, rep, len(corpus), time.Since(start))
+		start := time.Now()
+		rep := c.RunContext(ctx, corpus)
+		checkPartialReport(t, rep, len(corpus), time.Since(start))
+		timer.Stop()
+		cancel()
 
-	if got := c.Metrics.Gauge("workers_busy").Value(); got != 0 {
-		t.Fatalf("workers_busy = %d after run, want 0", got)
+		if got := c.Metrics.Gauge("workers_busy").Value(); got != 0 {
+			t.Fatalf("workers_busy = %d after run, want 0", got)
+		}
+		if c.Metrics.Counter("exprs_skipped").Value() == 0 {
+			t.Fatal("skip counter not recorded")
+		}
 	}
-	if c.Metrics.Counter("exprs_skipped").Value() == 0 {
-		t.Fatal("skip counter not recorded")
-	}
-}
-
-// TestRunContextCancelMidCorpusCached covers the duplication-aware path:
-// skipped groups count every member, and nothing cancellation-degraded is
-// memoized into the cache.
-func TestRunContextCancelMidCorpusCached(t *testing.T) {
-	cache := rescache.New()
-	c := &Comparator{
-		Analyzer: &llvmport.Analyzer{},
-		Workers:  2,
-		Cache:    cache,
-	}
-	// Distinct-width semiprime variants defeat canonical dedup so there
-	// are several slow groups to interrupt.
-	corpus := []harvest.Expr{
-		{Name: "s1", F: ir.MustParse(slowSrc), Freq: 1},
-		{Name: "s2", F: ir.MustParse("%a:i19 = var\n%b:i19 = var\n%x:i38 = zext %a\n%y:i38 = zext %b\n%0:i38 = mul %x, %y\n%1:i38 = xor %0, 109243065467:i38\ninfer %1"), Freq: 1},
-		{Name: "s3", F: ir.MustParse("%a:i18 = var\n%b:i18 = var\n%x:i36 = zext %a\n%y:i36 = zext %b\n%0:i36 = mul %x, %y\n%1:i36 = xor %0, 22712542403:i36\ninfer %1"), Freq: 1},
-		{Name: "s4", F: ir.MustParse("%a:i17 = var\n%b:i17 = var\n%x:i34 = zext %a\n%y:i34 = zext %b\n%0:i34 = mul %x, %y\n%1:i34 = xor %0, 11220699701:i34\ninfer %1"), Freq: 1},
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	timer := time.AfterFunc(200*time.Millisecond, cancel)
-	defer timer.Stop()
-	defer cancel()
-
-	start := time.Now()
-	rep := c.RunContext(ctx, corpus)
-	checkPartialReport(t, rep, len(corpus), time.Since(start))
 }
 
 // TestOracleCachedNeverMemoizesCancelled: results computed under a
@@ -123,7 +96,7 @@ func TestOracleCachedNeverMemoizesCancelled(t *testing.T) {
 	cancel() // every query degrades immediately, as mid-flight ones would
 
 	cn := canon.Canonicalize(ir.MustParse("%x:i8 = var\ninfer %x"))
-	o := c.oracleCached(ctx, cn)
+	o := c.oracleCached(ctx, cn, cache)
 	if !o.Known.Exhausted {
 		t.Fatal("cancelled oracle not degraded; test premise broken")
 	}
@@ -132,7 +105,7 @@ func TestOracleCachedNeverMemoizesCancelled(t *testing.T) {
 	}
 
 	// The same expression analyzed under a live context memoizes normally.
-	o2 := c.oracleCached(context.Background(), cn)
+	o2 := c.oracleCached(context.Background(), cn, cache)
 	if o2.Known.Exhausted {
 		t.Fatal("clean recompute unexpectedly exhausted")
 	}

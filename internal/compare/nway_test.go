@@ -2,6 +2,7 @@ package compare
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"dfcheck/internal/harvest"
@@ -108,27 +109,30 @@ func TestNWaySeededBugFindings(t *testing.T) {
 	}
 }
 
-// TestNWayCachedParity: the cached worker path must produce the same
-// report — rows, findings, and NWay totals — as the uncached path, with
-// the n-way check run once per canonical group and folded back per
-// member.
+// TestNWayCachedParity: a run with or without a persistent cache must
+// produce the same report — rows, findings, and NWay totals — as
+// comparing each entry on its own, with the n-way check run once per
+// canonical group and folded back per member.
 func TestNWayCachedParity(t *testing.T) {
 	corpus := ablationCorpus()
 	for _, tr := range harvest.SoundnessTriggers {
 		corpus = append(corpus, harvest.Expr{Name: "trigger-" + tr.Name, F: ir.MustParse(tr.Source), Freq: 1})
 	}
 	bugs := llvmport.BugConfig{NonZeroAdd: true, SRemSignBits: true, SRemKnownBits: true}
-	plain := (&Comparator{Analyzer: &llvmport.Analyzer{Bugs: bugs}, Workers: 1, NWay: true}).Run(corpus)
-	cached := (&Comparator{Analyzer: &llvmport.Analyzer{Bugs: bugs}, Workers: 1, NWay: true, Cache: rescache.New()}).Run(corpus)
-	compareReports(t, "nway-cached", cached, plain)
-	if plain.NWay == nil || cached.NWay == nil {
-		t.Fatalf("missing NWay stats: plain %v, cached %v", plain.NWay, cached.NWay)
+	ref := referenceReport(&Comparator{Analyzer: &llvmport.Analyzer{Bugs: bugs}, NWay: true}, corpus)
+	if len(ref.Findings) == 0 {
+		t.Fatal("bugged n-way reference produced no findings")
 	}
-	if *plain.NWay != *cached.NWay {
-		t.Errorf("NWay totals differ:\nuncached: %+v\ncached:   %+v", *plain.NWay, *cached.NWay)
-	}
-	if len(plain.Findings) == 0 {
-		t.Fatal("bugged n-way run produced no findings")
+	for _, cache := range []*rescache.Cache{nil, rescache.New()} {
+		got := (&Comparator{Analyzer: &llvmport.Analyzer{Bugs: bugs}, Workers: 1, NWay: true, Cache: cache}).Run(corpus)
+		label := fmt.Sprintf("nway cached=%t", cache != nil)
+		compareReports(t, label, got, ref)
+		if got.NWay == nil {
+			t.Fatalf("%s: missing NWay stats", label)
+		}
+		if *got.NWay != *ref.NWay {
+			t.Errorf("%s: NWay totals differ:\nreference: %+v\nrun:       %+v", label, *ref.NWay, *got.NWay)
+		}
 	}
 }
 

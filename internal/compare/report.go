@@ -122,9 +122,10 @@ func (rep *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// CacheSummary renders the cache statistics of a cached run in one line,
-// or "" for uncached runs. Callers print it to stderr so that the table
-// on stdout stays byte-identical between cold and warm runs.
+// CacheSummary renders a run's canonical grouping and cache statistics
+// in one line, or "" for a report without them. Callers print it to
+// stderr so that the table on stdout stays byte-identical between cold
+// and warm runs.
 func (rep *Report) CacheSummary() string {
 	s := rep.Cache
 	if s == nil {

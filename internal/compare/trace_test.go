@@ -106,32 +106,35 @@ func TestTracedRunConcurrent(t *testing.T) {
 }
 
 // TestTracedCachedRunMatchesUncached: tracing must not perturb results,
-// and the cached path must emit expr spans per unique canonical form.
+// and a run with or without a persistent cache emits expr spans per
+// unique canonical form.
 func TestTracedCachedRunMatchesUncached(t *testing.T) {
 	corpus := harvest.Generate(harvest.Config{
 		Seed: 7, NumExprs: 12, MaxInsts: 3,
 		Widths: []harvest.WidthWeight{{Width: 4, Weight: 1}},
 	})
-	plain := cleanComparator().Run(corpus)
+	ref := referenceReport(cleanComparator(), corpus)
 
-	cached := cleanComparator()
-	cached.Cache = rescache.New()
-	spans := traceSpans(t, cached, corpus)
-	traced := cached.Run(corpus) // second run: all hits, still well-formed
+	for _, cache := range []*rescache.Cache{nil, rescache.New()} {
+		c := cleanComparator()
+		c.Cache = cache
+		spans := traceSpans(t, c, corpus)
+		traced := c.Run(corpus) // with a cache, a second run: all hits, still well-formed
 
-	for _, a := range harvest.AllAnalyses {
-		p, q := plain.Rows[a], traced.Rows[a]
-		if p.Same != q.Same || p.OracleMP != q.OracleMP || p.LLVMMP != q.LLVMMP {
-			t.Errorf("%s: traced cached run diverged: %+v vs %+v", a, *p, *q)
+		for _, a := range harvest.AllAnalyses {
+			p, q := ref.Rows[a], traced.Rows[a]
+			if p.Same != q.Same || p.OracleMP != q.OracleMP || p.LLVMMP != q.LLVMMP {
+				t.Errorf("cached=%t %s: traced run diverged: %+v vs %+v", cache != nil, a, *p, *q)
+			}
 		}
-	}
-	exprs := 0
-	for _, ev := range spans {
-		if ev["cat"] == "expr" {
-			exprs++
+		exprs := 0
+		for _, ev := range spans {
+			if ev["cat"] == "expr" {
+				exprs++
+			}
 		}
-	}
-	if exprs == 0 || exprs > len(corpus) {
-		t.Errorf("cached run emitted %d expr spans for %d entries", exprs, len(corpus))
+		if want := traced.Cache.UniqueExprs; exprs != want {
+			t.Errorf("cached=%t: run emitted %d expr spans, want one per canonical form (%d)", cache != nil, exprs, want)
+		}
 	}
 }

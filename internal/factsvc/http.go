@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"dfcheck/internal/canon"
 	"dfcheck/internal/ir"
 )
 
@@ -90,11 +91,13 @@ func (s *Service) serveFacts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Two passes: submit everything first, then wait. Submitting the
-	// whole batch up front is what lets intra-batch duplicates collapse
-	// onto one solve instead of running back to back.
+	// Two passes: submit everything first, then wait. An intra-batch
+	// duplicate (same canonical key) shares the first entry's ticket, so
+	// it always collapses onto one solve, whether or not that solve has
+	// already finished.
 	resp := queryResponse{Results: make([]ExprAnswer, len(req.Exprs))}
 	tickets := make([]*Ticket, len(req.Exprs))
+	byKey := make(map[string]*Ticket, len(req.Exprs))
 	for i, src := range req.Exprs {
 		resp.Results[i].Expr = src
 		f, err := ir.Parse(src)
@@ -102,7 +105,12 @@ func (s *Service) serveFacts(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i].Error = "parse: " + err.Error()
 			continue
 		}
-		tk, err := s.Submit(f)
+		cn := canon.Canonicalize(f)
+		if twin := byKey[cn.Key]; twin != nil {
+			tickets[i] = s.attach(twin, f, cn)
+			continue
+		}
+		tk, err := s.submit(f, cn)
 		switch {
 		case err == ErrSaturated:
 			resp.Results[i].Error = "queue saturated"
@@ -111,6 +119,7 @@ func (s *Service) serveFacts(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i].Error = err.Error()
 		default:
 			tickets[i] = tk
+			byKey[cn.Key] = tk
 		}
 	}
 	for i, tk := range tickets {

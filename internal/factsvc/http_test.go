@@ -6,9 +6,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dfcheck/internal/canon"
 	"dfcheck/internal/ir"
 	"dfcheck/internal/metrics"
 )
@@ -115,6 +117,95 @@ func TestHandlerBatchWithDuplicatesAndParseErrors(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["factsvc_inflight_collapsed"]; got != 1 {
 		t.Fatalf("factsvc_inflight_collapsed = %d, want 1", got)
+	}
+}
+
+// An intra-batch duplicate collapses onto its twin's ticket even when the
+// twin's task has already finished and left the live map — the timing
+// that used to dispatch the duplicate as a second solve. Counted as
+// collapsed, observed under outcome="collapsed", never solved twice.
+func TestIntraBatchDuplicateCollapsesAfterTwinFinished(t *testing.T) {
+	reg := metrics.NewRegistry()
+	var solves atomic.Int64
+	svc := newTestService(t, Config{Workers: 1, Metrics: reg,
+		Solve: func(ctx context.Context, f *ir.Function) ([]Fact, error) {
+			solves.Add(1)
+			return []Fact{{Analysis: "non-zero", Fact: "true"}}, nil
+		}})
+	f := mustParse(t, exprSrc)
+	twin, err := svc.Submit(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := svc.QueueLen(); n != 0 {
+		t.Fatalf("twin still live (%d tasks); test premise broken", n)
+	}
+	g := mustParse(t, exprSrc)
+	dup := svc.attach(twin, g, canon.Canonicalize(g))
+	if !dup.Collapsed {
+		t.Fatal("attached ticket not marked collapsed")
+	}
+	res, err := dup.Wait(context.Background())
+	if err != nil || len(res.Facts) != 1 {
+		t.Fatalf("collapsed answer = %+v, %v", res, err)
+	}
+	snap := reg.Snapshot()
+	if got := solves.Load(); got != 1 {
+		t.Errorf("%d solves, want 1", got)
+	}
+	if got := snap.Counters["factsvc_inflight_collapsed"]; got != 1 {
+		t.Errorf("factsvc_inflight_collapsed = %d, want 1", got)
+	}
+	if got := snap.Counters["factsvc_exprs"]; got != 2 {
+		t.Errorf("factsvc_exprs = %d, want 2", got)
+	}
+	if got := snap.Histograms[`factsvc_solve_latency{outcome="collapsed"}`].Count; got != 1 {
+		t.Errorf(`outcome="collapsed" count = %d, want 1`, got)
+	}
+	if got := snap.Histograms[`factsvc_solve_latency{outcome="solved"}`].Count; got != 1 {
+		t.Errorf(`outcome="solved" count = %d, want 1`, got)
+	}
+}
+
+// Per-variable facts come back in each request's own variable names and
+// declaration order, although alpha-variants in one batch share a solve
+// on the canonical form (whose variables are x0, x1, ...).
+func TestHandlerAnswersInRequestNames(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 1,
+		Solve: func(ctx context.Context, f *ir.Function) ([]Fact, error) {
+			facts := []Fact{{Analysis: "non-zero", Fact: "false"}}
+			for _, v := range f.Vars {
+				facts = append(facts, Fact{Analysis: "demanded bits (" + v.Name + ")", Fact: "mask of " + v.Name})
+			}
+			return facts, nil
+		}})
+	body, _ := json.Marshal(map[string][]string{"exprs": {
+		"%a:i8 = var\n%b:i8 = var\n%0:i8 = and 15:i8, %a\n%1:i8 = or %0, %b\ninfer %1",
+		"%q:i8 = var\n%p:i8 = var\n%0:i8 = and 15:i8, %p\n%1:i8 = or %q, %0\ninfer %1",
+	}})
+	resp := decodeResp(t, postFacts(t, svc.Handler(), string(body)))
+	if len(resp.Results) != 2 || !resp.Results[1].Collapsed {
+		t.Fatalf("alpha-variants did not share a solve: %+v", resp.Results)
+	}
+	a, q := resp.Results[0].Facts, resp.Results[1].Facts
+	if len(a) != 3 || len(q) != 3 {
+		t.Fatalf("fact counts %d, %d, want 3 each", len(a), len(q))
+	}
+	if a[0] != q[0] || a[0].Analysis != "non-zero" {
+		t.Errorf("variable-free fact moved: %v vs %v", a[0], q[0])
+	}
+	if a[1].Analysis != "demanded bits (a)" || a[2].Analysis != "demanded bits (b)" {
+		t.Errorf("first answer labels = %q, %q", a[1].Analysis, a[2].Analysis)
+	}
+	if q[1].Analysis != "demanded bits (q)" || q[2].Analysis != "demanded bits (p)" {
+		t.Errorf("variant labels = %q, %q, want its own q, p in declaration order", q[1].Analysis, q[2].Analysis)
+	}
+	// p plays a's role and q plays b's, so they carry the same masks.
+	if q[2].Fact != a[1].Fact || q[1].Fact != a[2].Fact {
+		t.Errorf("variant masks not mapped through the canonical names: %v vs %v", q, a)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +25,9 @@ type Fact struct {
 	Fact     string `json:"fact"`
 }
 
-// SolveFunc computes the dataflow facts for one expression. The
+// SolveFunc computes the dataflow facts for one expression. The service
+// calls it on the canonical form, so per-variable facts come back named
+// x0, x1, ...; each Ticket maps them back to its submitter's names. The
 // comparator provides the production implementation
 // (compare.Comparator.OracleFacts), which consults the result cache and
 // its own single-flight layer; tests substitute stubs.
@@ -250,6 +253,11 @@ func (s *Service) retryAfterSecs() int {
 type Ticket struct {
 	t   *task
 	svc *Service
+	// f and cn are this submission's expression and its
+	// canonicalization, which map the shared task's canonical variable
+	// names back to the submitter's own.
+	f  *ir.Function
+	cn *canon.Canon
 	// Collapsed reports that this submission attached to an already
 	// live task instead of scheduling its own solve.
 	Collapsed bool
@@ -261,11 +269,15 @@ type Ticket struct {
 // Ticket to Wait on. It never blocks on a full queue: saturation is
 // ErrSaturated, and the caller decides whether to retry.
 func (s *Service) Submit(f *ir.Function) (*Ticket, error) {
+	return s.submit(f, canon.Canonicalize(f))
+}
+
+// submit is Submit with f's canonicalization already computed.
+func (s *Service) submit(f *ir.Function, cn *canon.Canon) (*Ticket, error) {
 	var start time.Time
 	if s.hSaturated != nil {
 		start = time.Now()
 	}
-	cn := canon.Canonicalize(f)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -279,7 +291,7 @@ func (s *Service) Submit(f *ir.Function) (*Ticket, error) {
 		if s.mCollapsed != nil {
 			s.mCollapsed.Inc()
 		}
-		return &Ticket{t: t, svc: s, Collapsed: true, Hash: cn.Hash}, nil
+		return &Ticket{t: t, svc: s, f: f, cn: cn, Collapsed: true, Hash: cn.Hash}, nil
 	}
 	t := &task{key: cn.Key, hash: cn.Hash, f: cn.F, done: make(chan struct{})}
 	// Hash-affinity routing: the same canonical expression always lands
@@ -294,7 +306,7 @@ func (s *Service) Submit(f *ir.Function) (*Ticket, error) {
 		if s.gQueue != nil {
 			s.gQueue.Add(1)
 		}
-		return &Ticket{t: t, svc: s, Hash: cn.Hash}, nil
+		return &Ticket{t: t, svc: s, f: f, cn: cn, Hash: cn.Hash}, nil
 	default:
 		s.mu.Unlock()
 		if s.mRejected != nil {
@@ -307,6 +319,18 @@ func (s *Service) Submit(f *ir.Function) (*Ticket, error) {
 		}
 		return nil, ErrSaturated
 	}
+}
+
+// attach returns a collapsed ticket on twin's task for f, a submission
+// with the same canonical key: it is counted like a live-map collapse but
+// never reaches the live map, so the collapse does not depend on whether
+// twin's task has finished yet.
+func (s *Service) attach(twin *Ticket, f *ir.Function, cn *canon.Canon) *Ticket {
+	if s.mExprs != nil {
+		s.mExprs.Inc()
+		s.mCollapsed.Inc()
+	}
+	return &Ticket{t: twin.t, svc: s, f: f, cn: cn, Collapsed: true, Hash: cn.Hash}
 }
 
 // Result is one answered query.
@@ -332,10 +356,39 @@ func (tk *Ticket) Wait(ctx context.Context) (Result, error) {
 		if tk.t.err != nil {
 			return Result{}, tk.t.err
 		}
-		return Result{Facts: tk.t.facts, Elapsed: tk.t.elapsed}, nil
+		return Result{Facts: tk.relabel(tk.t.facts), Elapsed: tk.t.elapsed}, nil
 	case <-ctx.Done():
 		return Result{}, ctx.Err()
 	}
+}
+
+// relabel renames the variable of every per-variable fact
+// ("<analysis> (<var>)") from the canonical namespace the shared task
+// solved in to this submission's own names, listing those facts in the
+// submission's declaration order (as compare.Comparator.OracleFacts
+// does). Other facts keep their place.
+func (tk *Ticket) relabel(facts []Fact) []Fact {
+	slot := make(map[string]int, len(tk.f.Vars)) // canonical name -> declaration index
+	for i, v := range tk.f.Vars {
+		slot[tk.cn.CanonName(v.Name)] = i
+	}
+	out := make([]Fact, 0, len(facts))
+	perVar := make([][]Fact, len(tk.f.Vars))
+	for _, fc := range facts {
+		a := fc.Analysis
+		if open := strings.LastIndex(a, " ("); open >= 0 && strings.HasSuffix(a, ")") {
+			if i, ok := slot[a[open+2:len(a)-1]]; ok {
+				fc.Analysis = a[:open+2] + tk.f.Vars[i].Name + ")"
+				perVar[i] = append(perVar[i], fc)
+				continue
+			}
+		}
+		out = append(out, fc)
+	}
+	for _, fs := range perVar {
+		out = append(out, fs...)
+	}
+	return out
 }
 
 func (s *Service) worker(i int) {
@@ -355,9 +408,10 @@ func (s *Service) sampleSolve() bool {
 	return s.seq.Add(1)%uint64(n) == 1
 }
 
-// runTask solves one task, publishes the result to every waiter, and
-// retires the live-map entry. A panicking Solve is converted to an
-// error so one poisonous expression cannot take a worker down.
+// runTask solves one task, retires the live-map entry, records the
+// solve, and publishes the result to every waiter. A panicking Solve is
+// converted to an error so one poisonous expression cannot take a worker
+// down.
 func (s *Service) runTask(worker int, t *task) {
 	s.busy[worker].Store(1)
 	var sp *trace.Span
@@ -373,7 +427,6 @@ func (s *Service) runTask(worker int, t *task) {
 		s.mu.Lock()
 		delete(s.live, t.key)
 		s.mu.Unlock()
-		close(t.done)
 		s.busy[worker].Store(0)
 		if s.gQueue != nil {
 			s.gQueue.Add(-1)
@@ -394,6 +447,10 @@ func (s *Service) runTask(worker int, t *task) {
 		}
 		s.noteSlow(worker, t, sp, start, qBefore)
 		sp.End()
+		// Waiters are released last, so a caller that has its answer
+		// also sees the solve in every metric, the slow log, and the
+		// trace.
+		close(t.done)
 	}()
 	ctx := context.Background()
 	if s.sampleSolve() {

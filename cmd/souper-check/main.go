@@ -126,7 +126,7 @@ func main() {
 	if *inferDemanded {
 		r := oracle.DemandedBits(eng(), f)
 		for _, name := range f.SortedVarNames() {
-			show("demanded bits from our tool for %"+name, r.Demanded[name].BitString())
+			show("demanded bits from our tool for %"+name, r.Demanded[name].BitString()+exhaustedSuffix(r.Exhausted))
 		}
 	}
 

@@ -7,7 +7,10 @@
 //   - KnownBits is Algorithm 1: two validity queries per output bit. Its
 //     maximal precision follows from the separability of the known-bits
 //     lattice (§3.3.1, Figure 2).
-//   - DemandedBits is Algorithm 2: two equivalence queries per input bit.
+//   - DemandedBits is Algorithm 2: one equivalence query per input bit.
+//     The paper asks two, forcing the bit to 0 and to 1, but both are
+//     witnessed by the same pair of well-defined inputs differing only in
+//     that bit, so one polarity decides it.
 //   - IntegerRange is Algorithm 3: binary search on the range size with a
 //     CEGIS loop synthesizing the base (synthesizeBase).
 //   - SignBits tries each count from most precise downward (§3.3).
@@ -287,7 +290,13 @@ type DemandedBitsResult struct {
 	Demanded map[string]apint.Int
 }
 
-// DemandedBits runs Algorithm 2.
+// DemandedBits runs Algorithm 2 with one equivalence query per input bit.
+// The paper forces each bit to 0 and then to 1, but the two queries are
+// equisatisfiable: a witness for either is an unordered pair of
+// well-defined inputs that differ only in that bit and produce different
+// outputs, and the same pair witnesses the other polarity with its roles
+// swapped. So asking "can forcing the bit to 0 change the output" alone
+// decides whether the bit is demanded.
 func DemandedBits(e solver.Engine, f *ir.Function) DemandedBitsResult {
 	res := DemandedBitsResult{Demanded: make(map[string]apint.Int, len(f.Vars))}
 	feasible, ok := e.Feasible()
@@ -311,20 +320,12 @@ func DemandedBits(e solver.Engine, f *ir.Function) DemandedBitsResult {
 		sp.SetStr("var", v.Name)
 		mask := apint.Zero(v.Width)
 		for i := uint(0); i < v.Width; i++ {
-			demanded := false
-			for _, val := range []bool{false, true} {
-				matters, ok := e.ForcedBitMatters(v, i, val)
-				if !ok {
-					res.Exhausted = true
-					demanded = true // sound fallback
-					break
-				}
-				if matters {
-					demanded = true
-					break
-				}
+			matters, ok := e.ForcedBitMatters(v, i, false)
+			if !ok {
+				res.Exhausted = true
+				matters = true // sound fallback
 			}
-			if demanded {
+			if matters {
 				mask = mask.SetBit(i)
 			}
 		}

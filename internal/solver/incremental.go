@@ -5,6 +5,7 @@ import (
 	"dfcheck/internal/bitblast"
 	"dfcheck/internal/ir"
 	"dfcheck/internal/sat"
+	"dfcheck/internal/trace"
 )
 
 // This file implements the incremental query path of SATEngine: instead of
@@ -15,12 +16,19 @@ import (
 // algorithms.
 //
 // For ForcedBitMatters (Algorithm 2), the second program copy reads its
-// inputs through per-bit selector muxes:
+// inputs through one flip selector per bit:
 //
-//	x2[i] = selLo[i] ? 0 : (selHi[i] ? 1 : x[i])
+//	x2[i] = x[i] ⊕ sel[i]
 //
-// so one miter circuit serves all 2·w queries for a variable, each query
-// asserting exactly one selector through assumptions.
+// so one miter circuit serves every query for a variable. "Forcing bit i
+// to val changes the output" is posed as sel[i], ¬sel[j] for j ≠ i, and
+// x[i] = ¬val: the first copy runs with the bit at ¬val and the second
+// with it at val. Inputs whose bit already equals val cannot differ from
+// their forced copy, so this is the same question. Because both copies
+// read the bit as a plain literal, their well-definedness constraints
+// meet directly: a poison condition that pins the bit (an addnuw that
+// needs it clear, say) refutes the query by unit propagation instead of
+// through an equivalence proof of the two circuits.
 
 // outputSession is the shared circuit for queries about the root value.
 type outputSession struct {
@@ -48,9 +56,10 @@ func (e *SATEngine) output() *outputSession {
 // solveAssuming runs one budgeted query on a shared solver, accumulating
 // the per-query statistics deltas. The conflict budget is shared across
 // the whole engine: each query may spend only what earlier queries left.
-// name/class label the query's trace span; on the shared solver the span
-// carries this query's counter deltas, not lifetime totals.
-func (e *SATEngine) solveAssuming(name, class string, s *sat.Solver, assumptions ...sat.Lit) (bool, bool) {
+// name/class label the query's trace span and tag, when non-nil, adds
+// query-specific attributes to it; on the shared solver the span carries
+// this query's counter deltas, not lifetime totals.
+func (e *SATEngine) solveAssuming(name, class string, tag func(*trace.Span), s *sat.Solver, assumptions ...sat.Lit) (bool, bool) {
 	if e.pastDeadline() || e.outOfBudget() {
 		return false, false
 	}
@@ -58,7 +67,7 @@ func (e *SATEngine) solveAssuming(name, class string, s *sat.Solver, assumptions
 	s.ConflictBudget = s.Conflicts + e.remaining()
 	e.armAbort(s)
 	e.armPortfolio(s)
-	sp, _ := e.startQuery(name, class, s)
+	sp, _ := e.startQuery(name, class, tag, s)
 	st := s.Solve(assumptions...)
 	endQuery(sp, s, before, st)
 	delta := s.Stats().Sub(before)
@@ -119,7 +128,7 @@ func (e *SATEngine) incFeasible() (bool, bool) {
 		return e.feasible, true
 	}
 	o := e.output()
-	r, ok := e.solveAssuming("feasible", classExistence, o.s, o.b.WellDefined)
+	r, ok := e.solveAssuming("feasible", classExistence, nil, o.s, o.b.WellDefined)
 	if ok {
 		e.feasible, e.feasKnown = r, true
 		if r {
@@ -139,7 +148,7 @@ func (e *SATEngine) incOutputBitCanBe(i uint, val bool) (bool, bool) {
 	if !val {
 		l = l.Not()
 	}
-	res, ok := e.solveAssuming("output-bit", classValidity, o.s, o.b.WellDefined, l)
+	res, ok := e.solveAssuming("output-bit", classValidity, nil, o.s, o.b.WellDefined, l)
 	if ok && res {
 		e.recordWitness(o)
 	}
@@ -162,7 +171,7 @@ func (e *SATEngine) incSignBitsViolated(k uint) (bool, bool) {
 		}
 		o.signEq[k] = eq
 	}
-	res, ok := e.solveAssuming("sign-bits", classValidity, o.s, o.b.WellDefined, eq.Not())
+	res, ok := e.solveAssuming("sign-bits", classValidity, nil, o.s, o.b.WellDefined, eq.Not())
 	if ok && res {
 		e.recordWitness(o)
 	}
@@ -179,7 +188,7 @@ func (e *SATEngine) incCanBeZero() (bool, bool) {
 		o.zeroLit = o.b.C.OrN(o.b.Output...).Not()
 		o.haveZero = true
 	}
-	res, ok := e.solveAssuming("zero", classValidity, o.s, o.b.WellDefined, o.zeroLit)
+	res, ok := e.solveAssuming("zero", classValidity, nil, o.s, o.b.WellDefined, o.zeroLit)
 	if ok && res {
 		e.recordWitness(o)
 	}
@@ -201,7 +210,7 @@ func (e *SATEngine) incCanBeNonPowerOfTwo() (bool, bool) {
 		o.pow2Lit = c.And(nonZero, c.OrN(masked...).Not())
 		o.havePow2 = true
 	}
-	res, ok := e.solveAssuming("non-pow2", classValidity, o.s, o.b.WellDefined, o.pow2Lit.Not())
+	res, ok := e.solveAssuming("non-pow2", classValidity, nil, o.s, o.b.WellDefined, o.pow2Lit.Not())
 	if ok && res {
 		e.recordWitness(o)
 	}
@@ -247,7 +256,7 @@ func (e *SATEngine) incOutputOutside(lo, size apint.Int) (apint.Int, bool, bool)
 			outside = c.Or(geLo, ltHi).Not()
 		}
 	}
-	res, ok := e.solveAssuming("outside", classExistence, o.s, o.b.WellDefined, outside)
+	res, ok := e.solveAssuming("outside", classExistence, nil, o.s, o.b.WellDefined, outside)
 	if !ok || !res {
 		return apint.Int{}, res, ok
 	}
@@ -255,15 +264,14 @@ func (e *SATEngine) incOutputOutside(lo, size apint.Int) (apint.Int, bool, bool)
 }
 
 // miterSession is the per-variable shared circuit for demanded-bits
-// queries: a second copy of the function whose inputs run through
-// selector muxes.
+// queries: a second copy of the function whose input v has each bit
+// flipped by a selector.
 type miterSession struct {
 	s      *sat.Solver
 	c      *bitblast.Circuit
-	differ sat.Lit // outputs differ ∧ both copies well-defined
-	selLo  []sat.Lit
-	selHi  []sat.Lit
-	allSel []sat.Lit // every selector, for building assumption sets
+	differ sat.Lit       // outputs differ ∧ both copies well-defined
+	in     bitblast.Word // v's bits in the first copy
+	sel    []sat.Lit     // sel[i] flips bit i in the second copy
 }
 
 func (e *SATEngine) miter(v *ir.Inst) *miterSession {
@@ -274,31 +282,22 @@ func (e *SATEngine) miter(v *ir.Inst) *miterSession {
 	b1 := e.blast(s)
 	c := b1.C
 
-	w := v.Width
-	selLo := make([]sat.Lit, w)
-	selHi := make([]sat.Lit, w)
-	forced := make(bitblast.Word, w)
 	orig := b1.Inputs[v]
-	for i := uint(0); i < w; i++ {
-		selLo[i] = c.Lit()
-		selHi[i] = c.Lit()
-		forced[i] = c.Mux(selLo[i], c.False(), c.Mux(selHi[i], c.True(), orig[i]))
-	}
+	sel := c.FreshWord(v.Width)
 	inputs2 := make(map[*ir.Inst]bitblast.Word, len(b1.Inputs))
 	for iv, word := range b1.Inputs {
 		inputs2[iv] = word
 	}
-	inputs2[v] = forced
+	inputs2[v] = c.XorWord(orig, sel)
 	b2 := bitblast.BlastWith(c, e.f, inputs2)
 
 	m := &miterSession{
 		s:      s,
 		c:      c,
 		differ: c.AndN(b1.WellDefined, b2.WellDefined, c.Eq(b1.Output, b2.Output).Not()),
-		selLo:  selLo,
-		selHi:  selHi,
+		in:     orig,
+		sel:    sel,
 	}
-	m.allSel = append(append([]sat.Lit{}, selLo...), selHi...)
 	if e.miters == nil {
 		e.miters = make(map[*ir.Inst]*miterSession)
 	}
@@ -308,18 +307,17 @@ func (e *SATEngine) miter(v *ir.Inst) *miterSession {
 
 func (e *SATEngine) incForcedBitMatters(v *ir.Inst, bit uint, val bool) (bool, bool) {
 	m := e.miter(v)
-	assumptions := make([]sat.Lit, 0, len(m.allSel)+1)
-	assumptions = append(assumptions, m.differ)
-	for i := range m.selLo {
-		lo, hi := m.selLo[i].Not(), m.selHi[i].Not()
-		if uint(i) == bit {
-			if val {
-				hi = m.selHi[i]
-			} else {
-				lo = m.selLo[i]
-			}
-		}
-		assumptions = append(assumptions, lo, hi)
+	assumptions := make([]sat.Lit, 0, len(m.sel)+2)
+	from := m.in[bit] // the first copy runs with the bit at ¬val
+	if val {
+		from = from.Not()
 	}
-	return e.solveAssuming("forced-bit", classValidity, m.s, assumptions...)
+	assumptions = append(assumptions, m.differ, from)
+	for i, sl := range m.sel {
+		if uint(i) != bit {
+			sl = sl.Not()
+		}
+		assumptions = append(assumptions, sl)
+	}
+	return e.solveAssuming("forced-bit", classValidity, forcedBitTag(v, bit), m.s, assumptions...)
 }

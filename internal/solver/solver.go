@@ -57,7 +57,8 @@ type Engine interface {
 	// ForcedBitMatters reports whether forcing bit `bit` of input v to
 	// val can change the output, comparing only executions where both
 	// the original and the forced run are well-defined (Algorithm 2's
-	// equivalence check).
+	// equivalence check). Both polarities have the same answer: either
+	// one's witness is a pair of inputs differing only in that bit.
 	ForcedBitMatters(v *ir.Inst, bit uint, val bool) (sat, ok bool)
 
 	// AddPruned records n queries the caller never issued because their
@@ -306,15 +307,28 @@ const (
 	classEnum      = "enum"
 )
 
-// startQuery opens a leaf query span under the engine's current span and
-// snapshots the solver counters it will attribute. Nil when untraced.
-func (e *SATEngine) startQuery(name, class string, s *sat.Solver) (*trace.Span, sat.Stats) {
+// startQuery opens a leaf query span under the engine's current span,
+// lets tag (when non-nil) add query-specific attributes, and snapshots the
+// solver counters it will attribute. Nil when untraced.
+func (e *SATEngine) startQuery(name, class string, tag func(*trace.Span), s *sat.Solver) (*trace.Span, sat.Stats) {
 	sp := e.span.Child(trace.KindQuery, name)
 	if sp == nil {
 		return nil, sat.Stats{}
 	}
 	sp.SetStr("class", class)
+	if tag != nil {
+		tag(sp)
+	}
 	return sp, s.Stats()
+}
+
+// forcedBitTag labels a forced-bit query span with the input bit it asks
+// about, so the costliest bit reads straight off the trace.
+func forcedBitTag(v *ir.Inst, bit uint) func(*trace.Span) {
+	return func(sp *trace.Span) {
+		sp.SetStr("var", v.Name)
+		sp.SetInt("bit", int64(bit))
+	}
 }
 
 // endQuery attributes one query's solver internals — the counter deltas
@@ -453,7 +467,7 @@ func (e *SATEngine) query(name, class string, pred func(c *bitblast.Circuit, b *
 	b := e.blast(s)
 	cond := b.C.And(b.WellDefined, pred(b.C, b))
 	s.AddClause(cond)
-	sp, before := e.startQuery(name, class, s)
+	sp, before := e.startQuery(name, class, nil, s)
 	st := s.Solve()
 	endQuery(sp, s, before, st)
 	e.stats.Queries++
@@ -607,15 +621,22 @@ func (e *SATEngine) ForcedBitMatters(v *ir.Inst, bit uint, val bool) (bool, bool
 	for iv, word := range b1.Inputs {
 		inputs2[iv] = word
 	}
-	forced := append(bitblast.Word{}, b1.Inputs[v]...)
-	forced[bit] = c.LitFromBool(val)
+	// The same flip encoding as the incremental miter: the second copy
+	// reads the bit negated, and the first copy runs with it at ¬val.
+	orig := b1.Inputs[v]
+	forced := append(bitblast.Word{}, orig...)
+	forced[bit] = orig[bit].Not()
 	inputs2[v] = forced
 	b2 := bitblast.BlastWith(c, e.f, inputs2)
 
+	from := orig[bit]
+	if val {
+		from = from.Not()
+	}
 	differ := c.Eq(b1.Output, b2.Output).Not()
-	cond := c.AndN(b1.WellDefined, b2.WellDefined, differ)
-	s.AddClause(cond)
-	sp, before := e.startQuery("forced-bit", classValidity, s)
+	s.AddClause(from)
+	s.AddClause(c.AndN(b1.WellDefined, b2.WellDefined, differ))
+	sp, before := e.startQuery("forced-bit", classValidity, forcedBitTag(v, bit), s)
 	st := s.Solve()
 	endQuery(sp, s, before, st)
 	e.stats.Queries++
@@ -857,6 +878,7 @@ func (e *EnumEngine) ForcedBitMatters(v *ir.Inst, bit uint, val bool) (bool, boo
 	e.stats.Queries++
 	e.stats.EnumQueries++
 	sp := e.startEnum("forced-bit")
+	forcedBitTag(v, bit)(sp)
 	m, ok := e.demandedFor(sp, v)
 	if !ok {
 		e.stats.Exhausted++

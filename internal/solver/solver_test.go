@@ -93,15 +93,25 @@ func TestEnginesAgreeOnCorpus(t *testing.T) {
 			}
 		}
 
-		// Demanded-bit queries on every input bit.
+		// Demanded-bit queries on every input bit. Forcing a bit to 0 and
+		// forcing it to 1 are equisatisfiable (the oracle asks only one),
+		// so both polarities, on both SAT paths, must match the single
+		// enumerated answer.
+		fresh := NewSAT(f, 0)
+		fresh.Fresh = true
 		for _, v := range f.Vars {
 			for i := uint(0); i < v.Width; i++ {
-				for _, val := range []bool{false, true} {
-					sr, _ := se.ForcedBitMatters(v, i, val)
-					er, _ := ee.ForcedBitMatters(v, i, val)
-					if sr != er {
-						t.Fatalf("%s: ForcedBitMatters(%%%s,%d,%v) disagree sat=%v enum=%v",
-							src, v.Name, i, val, sr, er)
+				er, ok := ee.ForcedBitMatters(v, i, false)
+				if !ok {
+					t.Fatalf("%s: enum ForcedBitMatters(%%%s,%d) exhausted", src, v.Name, i)
+				}
+				for _, e := range []*SATEngine{se, fresh} {
+					for _, val := range []bool{false, true} {
+						sr, ok := e.ForcedBitMatters(v, i, val)
+						if !ok || sr != er {
+							t.Fatalf("%s: ForcedBitMatters(%%%s,%d,%v) fresh=%v = (%v,%v), enum says %v",
+								src, v.Name, i, val, e.Fresh, sr, ok, er)
+						}
 					}
 				}
 			}

@@ -133,6 +133,59 @@ func BenchmarkTable1_DemandedBits(b *testing.B) {
 	})
 }
 
+// tailCorpus is the fixed corpus of `precision-table -n 150` (seed 2020,
+// widths up to 16, the paper's fragments included), narrowed to the
+// i13/i16 expressions too wide to enumerate: the ones the range oracle
+// answers by SAT.
+func tailCorpus() []harvest.Expr {
+	corpus := harvest.Generate(harvest.Config{
+		Seed:     2020,
+		NumExprs: 150,
+		MaxInsts: 8,
+		Widths: []harvest.WidthWeight{
+			{Width: 4, Weight: 10}, {Width: 8, Weight: 45}, {Width: 13, Weight: 15}, {Width: 16, Weight: 30},
+		},
+		MaxCastWidth: 16,
+	})
+	for _, fr := range harvest.PaperFragments {
+		corpus = append(corpus, harvest.Expr{Name: "paper-" + fr.Name, F: fr.TestF()})
+	}
+	var tail []harvest.Expr
+	for _, e := range corpus {
+		if w := e.F.Width(); (w == 13 || w == 16) && eval.TotalInputBits(e.F) > solver.DefaultEnumCutoff {
+			tail = append(tail, e)
+		}
+	}
+	return tail
+}
+
+// BenchmarkTable1_IntegerRangeTail runs the range oracle over the fixed
+// corpus's SAT-routed i13/i16 expressions, single-search, one engine per
+// expression. Besides time it reports the solver work: queries/op, the
+// SAT variables the engines allocated (vars/op, flat in the number of
+// windows asked since the window circuit is built once) and the range
+// cells left exhausted (exhausted/op).
+func BenchmarkTable1_IntegerRangeTail(b *testing.B) {
+	corpus := tailCorpus()
+	var stats solver.Stats
+	var exhausted int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stats, exhausted = solver.Stats{}, 0
+		for _, e := range corpus {
+			eng := solver.NewEngine(e.F, solver.Config{Portfolio: -1})
+			if oracle.IntegerRangeSeeded(eng, e.F, oracle.ComputeSeed(e.F)).Exhausted {
+				exhausted++
+			}
+			stats.Add(eng.Stats())
+		}
+	}
+	b.ReportMetric(float64(len(corpus)), "exprs/op")
+	b.ReportMetric(float64(stats.Queries), "queries/op")
+	b.ReportMetric(float64(stats.Vars), "vars/op")
+	b.ReportMetric(float64(exhausted), "exhausted/op")
+}
+
 // benchDupCorpus is a duplication-heavy corpus shaped like the §3.1
 // harvest statistics: each unique expression appears as up to ten
 // shuffled alpha-variants, per its sampled frequency.

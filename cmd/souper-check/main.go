@@ -88,7 +88,11 @@ func main() {
 	}
 
 	fa := core.CompilerFactsWith(f, llvmport.Analyzer{Bugs: bugs, Modern: *modern})
-	eng := func() solver.Engine { return solver.NewSAT(f, *budget) }
+	// The same engine choice as precision-table: enumeration at or below
+	// the small-width cutoff, single-search SAT above it.
+	eng := func() solver.Engine {
+		return solver.NewEngine(f, solver.Config{Budget: *budget, Portfolio: -1})
+	}
 	printed := false
 	show := func(label, value string) {
 		fmt.Printf("%s: %s\n", label, value)

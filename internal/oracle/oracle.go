@@ -12,7 +12,9 @@
 //     witnessed by the same pair of well-defined inputs differing only in
 //     that bit, so one polarity decides it.
 //   - IntegerRange is Algorithm 3: binary search on the range size with a
-//     CEGIS loop synthesizing the base (synthesizeBase).
+//     CEGIS loop synthesizing the base (synthesizeBase). On an engine that
+//     holds the whole output set (enumeration), the range is read from it
+//     directly: the complement of the set's largest circular gap.
 //   - SignBits tries each count from most precise downward (§3.3).
 //   - The single-bit analyses are one validity query each (§3.3).
 //
@@ -24,6 +26,7 @@ package oracle
 
 import (
 	"math/bits"
+	"slices"
 
 	"dfcheck/internal/apint"
 	"dfcheck/internal/constrange"
@@ -355,7 +358,9 @@ func IntegerRange(e solver.Engine, f *ir.Function) RangeResult {
 // IntegerRangeSeeded is IntegerRange with seed pruning: a singleton seed
 // range short-circuits the whole search (a sound over-approximation with
 // one element is exact), and otherwise the four hull searches start from
-// the seed's bounds instead of the full word.
+// the seed's bounds instead of the full word. When the engine holds the
+// output set (Engine.Outputs), no search runs: the range is the set's
+// minimal cover, exact however close to the full word it is.
 func IntegerRangeSeeded(e solver.Engine, f *ir.Function, sd Seed) RangeResult {
 	w := f.Width()
 	res := RangeResult{Range: constrange.Full(w)}
@@ -376,6 +381,10 @@ func IntegerRangeSeeded(e solver.Engine, f *ir.Function, sd Seed) RangeResult {
 		e.AddPruned(int64(4 * w)) // the four hull binary searches
 		return res
 	}
+	if outs, ok := e.Outputs(); ok {
+		res.Range = rangeOfOutputs(w, outs)
+		return res
+	}
 	_, endHull := iterSpan(e, "hull-bounds")
 	bounds, ok := hullBounds(e, w, sd)
 	endHull()
@@ -390,7 +399,10 @@ func IntegerRangeSeeded(e solver.Engine, f *ir.Function, sd Seed) RangeResult {
 	}
 
 	// Algorithm 3 proper, below the hull size.
-	samples := []apint.Int{bounds.umin, bounds.umax, bounds.smin, bounds.smax}
+	var samples sampleSet
+	for _, v := range []apint.Int{bounds.umin, bounds.umax, bounds.smin, bounds.smax} {
+		samples.add(v)
+	}
 	lo := uint64(1)
 	var hi uint64
 	if n, huge := best.Size(); huge {
@@ -402,11 +414,12 @@ func IntegerRangeSeeded(e solver.Engine, f *ir.Function, sd Seed) RangeResult {
 		mid := lo + (hi-lo)/2
 		csp, endCegis := iterSpan(e, "cegis")
 		csp.SetInt("size", int64(mid))
-		base, found, exhausted := synthesizeBase(e, w, apint.New(w, mid), &samples)
-		endCegis()
-		if exhausted {
+		base, found, by := synthesizeBase(e, w, apint.New(w, mid), &samples)
+		if by != "" {
 			res.Exhausted = true
+			csp.SetStr("exhausted_by", by)
 		}
+		endCegis()
 		if found {
 			best = constrange.NonEmpty(base, base.Add(apint.New(w, mid)))
 			if mid == 1 {
@@ -445,18 +458,19 @@ func IntegerRangeNaive(e solver.Engine, f *ir.Function) RangeResult {
 		res.Range = constrange.Empty(w)
 		return res
 	}
-	var samples []apint.Int
+	var samples sampleSet
 	lo := uint64(1)
 	hi := apint.AllOnes(w).Uint64()
 	for lo <= hi {
 		mid := lo + (hi-lo)/2
 		csp, endCegis := iterSpan(e, "cegis")
 		csp.SetInt("size", int64(mid))
-		base, found, exhausted := synthesizeBase(e, w, apint.New(w, mid), &samples)
-		endCegis()
-		if exhausted {
+		base, found, by := synthesizeBase(e, w, apint.New(w, mid), &samples)
+		if by != "" {
 			res.Exhausted = true
+			csp.SetStr("exhausted_by", by)
 		}
+		endCegis()
 		if found {
 			res.Range = constrange.NonEmpty(base, base.Add(apint.New(w, mid)))
 			if mid == 1 {
@@ -588,12 +602,23 @@ func searchGreatest(min, max uint64, pred func(uint64) (bool, bool)) (uint64, bo
 	return lo, true
 }
 
+// Causes a CEGIS search gives up for, recorded as the exhausted_by
+// attribute of its iteration span.
+const (
+	// exhaustedByTries: the try cap ran out, or the size was too close to
+	// the full word for a refutation to fit the cap at all.
+	exhaustedByTries = "cegis-tries"
+	// exhaustedBySolver: a solver query came back without an answer.
+	exhaustedBySolver = "solver"
+)
+
 // synthesizeBase finds X such that every well-defined output lies in
 // [X, X+C), by counterexample-guided search: cover the known sample
 // outputs with a window of size C (the window may start at any sample),
 // then ask the solver to refute; counterexamples enlarge the sample set.
-func synthesizeBase(e solver.Engine, w uint, c apint.Int, samples *[]apint.Int) (apint.Int, bool, bool) {
-	exhausted := false
+// exhaustedBy is empty when the answer is exact, and otherwise names the
+// cause that made it inexact.
+func synthesizeBase(e solver.Engine, w uint, c apint.Int, samples *sampleSet) (base apint.Int, found bool, exhaustedBy string) {
 	// A failure proof needs counterexamples spread at complement-arc
 	// granularity; bail out (exhausted) when that cannot fit the try
 	// budget.
@@ -603,30 +628,30 @@ func synthesizeBase(e solver.Engine, w uint, c apint.Int, samples *[]apint.Int) 
 	}
 	needed := apint.AllOnes(w).Uint64()/compVal + 1
 	if needed > uint64(MaxRangeTries/3) {
-		return apint.Int{}, false, true
+		return apint.Int{}, false, exhaustedByTries
 	}
 	tries := int(needed*3 + 16)
 	if tries > MaxRangeTries {
 		tries = MaxRangeTries
 	}
-	if len(*samples) == 0 {
+	if samples.n == 0 {
 		// Seed with any achievable output (the empty interval makes
 		// everything "outside").
 		ex, found, ok := e.OutputOutside(apint.Zero(w), apint.Zero(w))
 		if !ok {
-			return apint.Int{}, false, true
+			return apint.Int{}, false, exhaustedBySolver
 		}
 		if !found {
 			// No achievable output at all; callers handle infeasible
 			// before this, so treat as failure.
-			return apint.Int{}, false, exhausted
+			return apint.Int{}, false, ""
 		}
-		*samples = append(*samples, ex)
+		samples.add(ex)
 	}
 	for try := 0; try < tries; try++ {
-		base, coverable := coverWindow(w, c, *samples)
+		base, coverable := samples.coverWindow(c)
 		if !coverable {
-			return apint.Int{}, false, exhausted
+			return apint.Int{}, false, exhaustedBy
 		}
 		// Probe an interior quarter of the complement arc first: a
 		// counterexample from there splits the remaining space evenly,
@@ -639,42 +664,105 @@ func synthesizeBase(e solver.Engine, w uint, c apint.Int, samples *[]apint.Int) 
 			m1 := base.Add(c).Add(third)
 			m2 := m1.Add(third)
 			if ex, found, ok := e.OutputOutside(m2, m1.Sub(m2)); ok && found {
-				*samples = append(*samples, ex)
+				samples.add(ex)
 				continue
 			} else if !ok {
-				exhausted = true
+				exhaustedBy = exhaustedBySolver
 			}
 		}
 		ex, found, ok := e.OutputOutside(base, c)
 		if !ok {
-			return apint.Int{}, false, true
+			return apint.Int{}, false, exhaustedBySolver
 		}
 		if !found {
-			return base, true, exhausted
+			return base, true, exhaustedBy
 		}
-		*samples = append(*samples, ex)
+		samples.add(ex)
 	}
-	return apint.Int{}, false, true // CEGIS budget exhausted
+	return apint.Int{}, false, exhaustedByTries
+}
+
+// sampleSet holds the CEGIS counterexamples sorted by value, each with
+// the index at which it was first inserted, so that coverWindow is one
+// linear pass instead of a scan of every sample against every other.
+type sampleSet struct {
+	w     uint
+	vals  []uint64 // distinct sample values, ascending
+	first []int    // first[i]: insertion index of vals[i]
+	n     int      // samples inserted, duplicates included
+}
+
+// add inserts v, keeping vals sorted; a duplicate keeps its first index.
+func (s *sampleSet) add(v apint.Int) {
+	s.w = v.Width()
+	x := v.Uint64()
+	i, dup := slices.BinarySearch(s.vals, x)
+	if !dup {
+		s.vals = slices.Insert(s.vals, i, x)
+		s.first = slices.Insert(s.first, i, s.n)
+	}
+	s.n++
 }
 
 // coverWindow finds a window [X, X+C) covering all samples, if one exists.
-// A minimal covering window can always start at a sample, so only sample
-// values are candidate bases.
-func coverWindow(w uint, c apint.Int, samples []apint.Int) (apint.Int, bool) {
-	for _, base := range samples {
-		covered := true
-		for _, s := range samples {
-			// s ∈ [base, base+c) ⟺ s - base <u c.
-			if !s.Sub(base).ULT(c) {
-				covered = false
-				break
-			}
-		}
-		if covered {
-			return base, true
+// A minimal covering window can always start at a sample, and a sample s
+// qualifies as the base exactly when its circular predecessor pred (the
+// sample farthest from s going up) lies inside, i.e. (pred − s) mod 2^w
+// < C. Among qualifying samples it returns the first one inserted, the
+// base a scan of the samples in insertion order would pick.
+func (s *sampleSet) coverWindow(c apint.Int) (apint.Int, bool) {
+	mask := apint.AllOnes(s.w).Uint64()
+	k := len(s.vals)
+	best := -1
+	for i, x := range s.vals {
+		pred := s.vals[(i+k-1)%k]
+		if (pred-x)&mask < c.Uint64() && (best < 0 || s.first[i] < s.first[best]) {
+			best = i
 		}
 	}
-	return apint.Int{}, false
+	if best < 0 {
+		return apint.Int{}, false
+	}
+	return apint.New(s.w, s.vals[best]), true
+}
+
+// rangeOfOutputs returns the smallest wrapped range covering a non-empty
+// output set: the complement of its largest circular gap. Equal-size
+// covers are tie-broken hull-first, matching what the hull-seeded search
+// keeps: the unsigned hull if it is minimal, then the signed hull, then
+// the gap with the lowest start.
+func rangeOfOutputs(w uint, outs []apint.Int) constrange.Range {
+	vals := make([]uint64, len(outs))
+	for i, v := range outs {
+		vals[i] = v.Uint64()
+	}
+	slices.Sort(vals)
+	vals = slices.Compact(vals)
+	k := len(vals)
+	if k == 1 {
+		return constrange.Single(apint.New(w, vals[0]))
+	}
+	// Gap i runs from vals[i] up to its circular successor; gap k−1 wraps
+	// past zero, and skipping it covers the unsigned hull.
+	mask := apint.AllOnes(w).Uint64()
+	gap := func(i int) uint64 { return (vals[(i+1)%k] - vals[i]) & mask }
+	var widest uint64
+	for i := range vals {
+		widest = max(widest, gap(i))
+	}
+	pick := k - 1
+	if gap(pick) != widest {
+		// The gap just below the smallest negative value spans the sign
+		// boundary; skipping it covers the signed hull.
+		neg, _ := slices.BinarySearch(vals, apint.SignBitValue(w).Uint64())
+		if neg > 0 && neg < k && gap(neg-1) == widest {
+			pick = neg - 1
+		} else {
+			for pick = 0; gap(pick) != widest; pick++ {
+			}
+		}
+	}
+	return constrange.NonEmpty(apint.New(w, vals[(pick+1)%k]), apint.New(w, vals[pick]+1))
 }
 
 // All bundles every oracle fact for one function, computed with a shared

@@ -29,6 +29,20 @@ import (
 // meet directly: a poison condition that pins the bit (an addnuw that
 // needs it clear, say) refutes the query by unit propagation instead of
 // through an equivalence proof of the two circuits.
+//
+// For OutputOutside (Algorithm 3's hull searches and CEGIS refutations),
+// the output session holds one window circuit over free words LO and HI
+// and a wrap literal:
+//
+//	outside = ¬(wrap ? (out ≥ LO ∨ out < HI) : (out ≥ LO ∧ out < HI))
+//
+// A query binds LO, HI and wrap through assumptions, next to WellDefined,
+// so the range search runs on a solver of fixed size however many windows
+// it asks about. Because LO and HI are free variables rather than
+// constants, every clause learned under one window is a consequence of
+// the circuit alone and stays valid for every later window. Two constant
+// comparators per query would instead add ~4w gates to the shared solver
+// with every window and slow every later search.
 
 // outputSession is the shared circuit for queries about the root value.
 type outputSession struct {
@@ -39,6 +53,46 @@ type outputSession struct {
 	pow2Lit  sat.Lit
 	haveZero bool
 	havePow2 bool
+	win      *windowCircuit // built on the first OutputOutside query
+}
+
+// windowCircuit computes out ∉ [LO, HI) for free words LO and HI, wrapped
+// when the wrap literal is set.
+type windowCircuit struct {
+	lo, hi  bitblast.Word
+	wrap    sat.Lit
+	outside sat.Lit
+}
+
+// window returns the session's window circuit, building it on first use.
+func (o *outputSession) window() *windowCircuit {
+	if o.win == nil {
+		c := o.b.C
+		w := uint(len(o.b.Output))
+		lo, hi, wrap := c.FreshWord(w), c.FreshWord(w), c.Lit()
+		geLo := c.ULT(o.b.Output, lo).Not()
+		ltHi := c.ULT(o.b.Output, hi)
+		inside := c.Mux(wrap, c.Or(geLo, ltHi), c.And(geLo, ltHi))
+		o.win = &windowCircuit{lo: lo, hi: hi, wrap: wrap, outside: inside.Not()}
+	}
+	return o.win
+}
+
+// bind appends the assumptions that fix the window to [lo, hi): each bit
+// of LO and HI, and wrap exactly when the window wraps past zero.
+func (win *windowCircuit) bind(assumptions []sat.Lit, lo, hi apint.Int) []sat.Lit {
+	for i := range win.lo {
+		assumptions = append(assumptions, litIf(win.lo[i], lo.Bit(uint(i))), litIf(win.hi[i], hi.Bit(uint(i))))
+	}
+	return append(assumptions, litIf(win.wrap, hi.ULT(lo)))
+}
+
+// litIf returns l when b holds and ¬l otherwise.
+func litIf(l sat.Lit, b bool) sat.Lit {
+	if b {
+		return l
+	}
+	return l.Not()
 }
 
 func (e *SATEngine) output() *outputSession {
@@ -239,24 +293,17 @@ func (e *SATEngine) incOutputOutside(lo, size apint.Int) (apint.Int, bool, bool)
 		return w, true, true
 	}
 	o := e.output()
-	c := o.b.C
-	var outside sat.Lit
-	if size.IsZero() {
-		outside = c.True() // empty window: everything is outside
-	} else {
+	assumptions := make([]sat.Lit, 1, 2*len(o.b.Output)+3)
+	assumptions[0] = o.b.WellDefined // empty window: everything is outside
+	if !size.IsZero() {
 		hi := lo.Add(size)
 		if hi.Eq(lo) {
 			return apint.Int{}, false, true // full window: nothing outside
 		}
-		geLo := c.ULT(o.b.Output, c.ConstWord(lo)).Not()
-		ltHi := c.ULT(o.b.Output, c.ConstWord(hi))
-		if lo.ULT(hi) {
-			outside = c.And(geLo, ltHi).Not()
-		} else {
-			outside = c.Or(geLo, ltHi).Not()
-		}
+		win := o.window()
+		assumptions = win.bind(append(assumptions, win.outside), lo, hi)
 	}
-	res, ok := e.solveAssuming("outside", classExistence, nil, o.s, o.b.WellDefined, outside)
+	res, ok := e.solveAssuming("outside", classExistence, windowTag(lo, size), o.s, assumptions...)
 	if !ok || !res {
 		return apint.Int{}, res, ok
 	}

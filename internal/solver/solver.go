@@ -54,6 +54,13 @@ type Engine interface {
 	// value (the CEGIS counterexample for Algorithm 3).
 	OutputOutside(lo, size apint.Int) (example apint.Int, sat, ok bool)
 
+	// Outputs returns the set of achievable well-defined output values
+	// when the engine already holds it (the enumeration engine memoizes it
+	// in its one sweep), in no particular order. ok is false when the set
+	// is unavailable: SATEngine never materializes it, and a cancelled
+	// sweep leaves it unknown. The caller must not modify the slice.
+	Outputs() (outputs []apint.Int, ok bool)
+
 	// ForcedBitMatters reports whether forcing bit `bit` of input v to
 	// val can change the output, comparing only executions where both
 	// the original and the forced run are well-defined (Algorithm 2's
@@ -112,6 +119,9 @@ type Stats struct {
 	GatesBuilt   int64
 	GatesDeduped int64
 	Clauses      int64
+	// Vars totals the SAT variables of the solvers the engine built: the
+	// live incremental sessions' plus every fresh query's.
+	Vars int64
 }
 
 // Add accumulates o into s, for rolling per-engine counters up into
@@ -133,6 +143,7 @@ func (s *Stats) Add(o Stats) {
 	s.GatesBuilt += o.GatesBuilt
 	s.GatesDeduped += o.GatesDeduped
 	s.Clauses += o.Clauses
+	s.Vars += o.Vars
 }
 
 // addCircuit rolls one circuit's construction counters into the stats.
@@ -331,6 +342,15 @@ func forcedBitTag(v *ir.Inst, bit uint) func(*trace.Span) {
 	}
 }
 
+// windowTag labels an output-outside query span with its window, so the
+// range search's path through the size space reads off the trace.
+func windowTag(lo, size apint.Int) func(*trace.Span) {
+	return func(sp *trace.Span) {
+		sp.SetInt("lo", int64(lo.Uint64()))
+		sp.SetInt("size", int64(size.Uint64()))
+	}
+}
+
 // endQuery attributes one query's solver internals — the counter deltas
 // since startQuery plus the circuit's CNF size — to its leaf span.
 func endQuery(sp *trace.Span, s *sat.Solver, before sat.Stats, st sat.Status) {
@@ -391,9 +411,11 @@ func (e *SATEngine) Stats() Stats {
 	st := e.stats
 	if e.out != nil {
 		st.addCircuit(e.out.b.C.Stats())
+		st.Vars += int64(e.out.s.NumVars())
 	}
 	for _, m := range e.miters {
 		st.addCircuit(m.c.Stats())
+		st.Vars += int64(m.s.NumVars())
 	}
 	return st
 }
@@ -455,8 +477,9 @@ func (e *SATEngine) armAbort(s *sat.Solver) {
 	s.Abort = e.cancelled
 }
 
-// query solves WellDefined ∧ pred(blasted) on a fresh solver.
-func (e *SATEngine) query(name, class string, pred func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit) (*bitblast.Blasted, bool, bool) {
+// query solves WellDefined ∧ pred(blasted) on a fresh solver; tag, when
+// non-nil, labels the query span as in startQuery.
+func (e *SATEngine) query(name, class string, tag func(*trace.Span), pred func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit) (*bitblast.Blasted, bool, bool) {
 	if e.pastDeadline() || e.outOfBudget() {
 		return nil, false, false
 	}
@@ -467,7 +490,7 @@ func (e *SATEngine) query(name, class string, pred func(c *bitblast.Circuit, b *
 	b := e.blast(s)
 	cond := b.C.And(b.WellDefined, pred(b.C, b))
 	s.AddClause(cond)
-	sp, before := e.startQuery(name, class, nil, s)
+	sp, before := e.startQuery(name, class, tag, s)
 	st := s.Solve()
 	endQuery(sp, s, before, st)
 	e.stats.Queries++
@@ -493,6 +516,7 @@ func (e *SATEngine) addSolve(st sat.Stats) {
 	e.stats.PortfolioWins += cloneWinsTotal(st)
 	e.stats.UnitsImported += st.UnitsImported
 	e.stats.UnitsExported += st.UnitsExported
+	e.stats.Vars += st.Vars
 }
 
 // Feasible implements Engine.
@@ -500,7 +524,7 @@ func (e *SATEngine) Feasible() (bool, bool) {
 	if !e.Fresh {
 		return e.incFeasible()
 	}
-	_, res, ok := e.query("feasible", classExistence, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
+	_, res, ok := e.query("feasible", classExistence, nil, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
 		return c.True()
 	})
 	return res, ok
@@ -511,7 +535,7 @@ func (e *SATEngine) OutputBitCanBe(i uint, val bool) (bool, bool) {
 	if !e.Fresh {
 		return e.incOutputBitCanBe(i, val)
 	}
-	_, res, ok := e.query("output-bit", classValidity, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
+	_, res, ok := e.query("output-bit", classValidity, nil, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
 		l := b.Output[i]
 		if !val {
 			l = l.Not()
@@ -526,7 +550,7 @@ func (e *SATEngine) SignBitsViolated(k uint) (bool, bool) {
 	if !e.Fresh {
 		return e.incSignBitsViolated(k)
 	}
-	_, res, ok := e.query("sign-bits", classValidity, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
+	_, res, ok := e.query("sign-bits", classValidity, nil, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
 		w := uint(len(b.Output))
 		sign := b.Output[w-1]
 		allEq := c.True()
@@ -543,7 +567,7 @@ func (e *SATEngine) CanBeZero() (bool, bool) {
 	if !e.Fresh {
 		return e.incCanBeZero()
 	}
-	_, res, ok := e.query("zero", classValidity, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
+	_, res, ok := e.query("zero", classValidity, nil, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
 		return c.OrN(b.Output...).Not()
 	})
 	return res, ok
@@ -554,7 +578,7 @@ func (e *SATEngine) CanBeNonPowerOfTwo() (bool, bool) {
 	if !e.Fresh {
 		return e.incCanBeNonPowerOfTwo()
 	}
-	_, res, ok := e.query("non-pow2", classValidity, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
+	_, res, ok := e.query("non-pow2", classValidity, nil, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
 		// pow2(x): x != 0 and x & (x-1) == 0.
 		w := uint(len(b.Output))
 		nonZero := c.OrN(b.Output...)
@@ -573,7 +597,7 @@ func (e *SATEngine) OutputOutside(lo, size apint.Int) (apint.Int, bool, bool) {
 	}
 	if size.IsZero() {
 		// [lo, lo+0) is empty: everything is outside; find any output.
-		b, res, ok := e.query("outside", classExistence, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
+		b, res, ok := e.query("outside", classExistence, windowTag(lo, size), func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
 			return c.True()
 		})
 		if !ok || !res {
@@ -585,7 +609,7 @@ func (e *SATEngine) OutputOutside(lo, size apint.Int) (apint.Int, bool, bool) {
 	if hi.Eq(lo) {
 		return apint.Int{}, false, true // full set: nothing outside
 	}
-	b, res, ok := e.query("outside", classExistence, func(c *bitblast.Circuit, bl *bitblast.Blasted) sat.Lit {
+	b, res, ok := e.query("outside", classExistence, windowTag(lo, size), func(c *bitblast.Circuit, bl *bitblast.Blasted) sat.Lit {
 		geLo := c.ULT(bl.Output, c.ConstWord(lo)).Not()
 		ltHi := c.ULT(bl.Output, c.ConstWord(hi))
 		var inside sat.Lit
@@ -601,6 +625,9 @@ func (e *SATEngine) OutputOutside(lo, size apint.Int) (apint.Int, bool, bool) {
 	}
 	return b.C.Value(b.Output), true, true
 }
+
+// Outputs implements Engine: a SAT engine never holds the output set.
+func (e *SATEngine) Outputs() ([]apint.Int, bool) { return nil, false }
 
 // ForcedBitMatters implements Engine.
 func (e *SATEngine) ForcedBitMatters(v *ir.Inst, bit uint, val bool) (bool, bool) {
@@ -845,6 +872,7 @@ func (e *EnumEngine) OutputOutside(lo, size apint.Int) (apint.Int, bool, bool) {
 	e.stats.Queries++
 	e.stats.EnumQueries++
 	sp := e.startEnum("outside")
+	windowTag(lo, size)(sp)
 	if !e.ensureOutputs(sp) {
 		e.stats.Exhausted++
 		endEnum(sp, false, false)
@@ -868,6 +896,21 @@ func (e *EnumEngine) OutputOutside(lo, size apint.Int) (apint.Int, bool, bool) {
 	}
 	endEnum(sp, false, true)
 	return apint.Int{}, false, true
+}
+
+// Outputs implements Engine, returning the memoized output set (running
+// the sweep if no query has yet).
+func (e *EnumEngine) Outputs() ([]apint.Int, bool) {
+	e.stats.Queries++
+	e.stats.EnumQueries++
+	sp := e.startEnum("outputs")
+	if !e.ensureOutputs(sp) {
+		e.stats.Exhausted++
+		endEnum(sp, false, false)
+		return nil, false
+	}
+	endEnum(sp, e.feasible, true)
+	return e.outputs, true
 }
 
 // ForcedBitMatters implements Engine. Forcing bit i of v to 0 can change
